@@ -14,6 +14,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace -q (every crate's unit, integration and doc tests)"
+cargo test --workspace -q
+
 echo "==> cargo build --workspace --examples (examples must compile)"
 cargo build --workspace --examples
 
@@ -71,7 +74,7 @@ cargo run --release -q -p mayflower-bench --bin datapath_smoke
 echo "==> tracing overhead perf smoke (writes BENCH_trace.json, asserts <=5% datapath overhead)"
 cargo run --release -q -p mayflower-bench --bin trace_smoke
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> ci.sh: all green"

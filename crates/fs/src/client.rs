@@ -353,7 +353,7 @@ impl Client {
             }
         };
         match &out {
-            Ok(size) => trace::annotate(&mut span, "size", size.to_string()),
+            Ok(size) => trace::annotate(&mut span, "size", size),
             Err(_) => trace::mark_error(&mut span),
         }
         out
@@ -395,7 +395,7 @@ impl Client {
             .iter()
             .map(|host| {
                 let mut s = self.trace.child("relay");
-                trace::annotate(&mut s, "host", host.0.to_string());
+                trace::annotate(&mut s, "host", host.0);
                 s
             })
             .collect();
@@ -536,7 +536,7 @@ impl Client {
             self.probe_size_inner(meta)
         };
         match &out {
-            Ok(size) => trace::annotate(&mut span, "size", size.to_string()),
+            Ok(size) => trace::annotate(&mut span, "size", size),
             Err(_) => trace::mark_error(&mut span),
         }
         out
@@ -568,8 +568,8 @@ impl Client {
     pub fn read_range(&mut self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>, FsError> {
         let mut span = self.trace.span("read_range");
         trace::annotate(&mut span, "file", name);
-        trace::annotate(&mut span, "offset", offset.to_string());
-        trace::annotate(&mut span, "len", len.to_string());
+        trace::annotate(&mut span, "offset", offset);
+        trace::annotate(&mut span, "len", len);
         let out = {
             let _g = span.as_ref().map(trace::ActiveSpan::enter);
             let meta = self.meta(name)?;
@@ -751,10 +751,10 @@ impl Client {
             .enumerate()
             .map(|(i, &(chosen, piece_offset, piece_len, primary_only))| {
                 let mut s = self.trace_datapath.child("piece");
-                trace::annotate(&mut s, "index", i.to_string());
-                trace::annotate(&mut s, "offset", piece_offset.to_string());
-                trace::annotate(&mut s, "bytes", piece_len.to_string());
-                trace::annotate(&mut s, "chosen", chosen.0.to_string());
+                trace::annotate(&mut s, "index", i);
+                trace::annotate(&mut s, "offset", piece_offset);
+                trace::annotate(&mut s, "bytes", piece_len);
+                trace::annotate(&mut s, "chosen", chosen.0);
                 if primary_only {
                     trace::annotate(&mut s, "primary_only", "true");
                 }
@@ -791,7 +791,7 @@ impl Client {
                             };
                             match &out {
                                 Ok(done) => {
-                                    trace::annotate(&mut span, "filled", done.filled.to_string());
+                                    trace::annotate(&mut span, "filled", done.filled);
                                 }
                                 Err(_) => trace::mark_error(&mut span),
                             }

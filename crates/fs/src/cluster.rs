@@ -354,11 +354,11 @@ impl Cluster {
     pub fn repair_to(&self, name: &str, source: HostId, dest: HostId) -> Result<u64, FsError> {
         self.traced("repair_to", name, |c| {
             let mut span = c.trace_recovery.child("copy");
-            trace::annotate(&mut span, "source", source.to_string());
-            trace::annotate(&mut span, "dest", dest.to_string());
+            trace::annotate(&mut span, "source", source);
+            trace::annotate(&mut span, "dest", dest);
             let out = c.repair_to_inner(name, source, dest);
             match &out {
-                Ok(bytes) => trace::annotate(&mut span, "bytes", bytes.to_string()),
+                Ok(bytes) => trace::annotate(&mut span, "bytes", bytes),
                 Err(_) => trace::mark_error(&mut span),
             }
             out
@@ -524,11 +524,11 @@ impl Cluster {
     pub fn repair_fragment(&self, name: &str, index: usize, dest: HostId) -> Result<u64, FsError> {
         self.traced("repair_fragment", name, |c| {
             let mut span = c.trace_recovery.child("rebuild");
-            trace::annotate(&mut span, "fragment", index.to_string());
-            trace::annotate(&mut span, "dest", dest.to_string());
+            trace::annotate(&mut span, "fragment", index);
+            trace::annotate(&mut span, "dest", dest);
             let out = c.repair_fragment_inner(name, index, dest);
             match &out {
-                Ok(bytes) => trace::annotate(&mut span, "bytes", bytes.to_string()),
+                Ok(bytes) => trace::annotate(&mut span, "bytes", bytes),
                 Err(_) => trace::mark_error(&mut span),
             }
             out

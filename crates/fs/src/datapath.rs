@@ -200,9 +200,9 @@ impl FetchCtx<'_> {
             let mut last_err = None;
             for host in order {
                 let mut span = self.trace.child("attempt");
-                trace::annotate(&mut span, "host", host.0.to_string());
+                trace::annotate(&mut span, "host", host.0);
                 if round > 0 {
-                    trace::annotate(&mut span, "retry_round", round.to_string());
+                    trace::annotate(&mut span, "retry_round", round);
                 }
                 let out = {
                     let _g = span.as_ref().map(trace::ActiveSpan::enter);
@@ -210,11 +210,11 @@ impl FetchCtx<'_> {
                 };
                 match out {
                     Ok(done) => {
-                        trace::annotate(&mut span, "filled", done.filled.to_string());
+                        trace::annotate(&mut span, "filled", done.filled);
                         return Ok(done);
                     }
                     Err(e) => {
-                        trace::annotate(&mut span, "error", e.to_string());
+                        trace::annotate(&mut span, "error", &e);
                         trace::mark_error(&mut span);
                         last_err = Some(e);
                     }

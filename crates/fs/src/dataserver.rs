@@ -8,10 +8,31 @@
 //! <root>/<file-uuid>/2         # second chunk
 //! ...
 //! ```
+//!
+//! The chunk extents are the single source of truth for a replica's
+//! size: the highest-numbered chunk's start plus that chunk file's
+//! length, and never less than a coded replica's seal watermark (its
+//! sealed chunks are dropped). `meta` holds the structural fields —
+//! name, chunk size, replicas, redundancy, fragments, seal watermark —
+//! and is rewritten only by create, [`Dataserver::update_meta`] and the
+//! final stamp of [`Dataserver::pull_repair`]; its `size` field is the
+//! size at that rewrite and is never read back. Appends only write
+//! chunk bytes.
+//!
+//! A dataserver keeps each file it has touched in memory: the append
+//! lock, the structural fields and the current size, built from disk on
+//! first touch. Reads are served from that entry, so the read path
+//! costs one chunk open and one positional read.
+//!
+//! Crash contract (DESIGN.md §8): an acknowledged byte is always served
+//! at the offset its ack reported. An append writes positionally at the
+//! in-memory size, which it publishes only after the bytes land; bytes
+//! a crash left past the last ack join the size on restart, after every
+//! acknowledged byte, and never take one's place.
 
 use std::collections::HashMap;
 use std::fs::OpenOptions;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,6 +63,32 @@ struct DsMetrics {
 const FRAGMENT_MAGIC: &[u8; 4] = b"MFEC";
 const FRAGMENT_HEADER: usize = 16;
 
+/// One replica's in-memory state, built from disk on first touch.
+#[derive(Debug)]
+struct FileState {
+    /// Fixed at creation; the read path needs nothing else structural.
+    chunk_size: u64,
+    /// The structural fields as last written to `meta` (`size` is
+    /// tracked below). Its lock is the append lock ("the dataserver
+    /// only services one append request at a time for each file");
+    /// `None` once the replica is deleted, so an append queued behind
+    /// the delete never writes into a re-created directory.
+    meta: Mutex<Option<FileMeta>>,
+    /// The replica's size. Appends publish it after the chunk write
+    /// lands; reads never look past it.
+    size: AtomicU64,
+}
+
+impl FileState {
+    fn new(meta: FileMeta, size: u64) -> FileState {
+        FileState {
+            chunk_size: meta.chunk_size,
+            meta: Mutex::new(Some(meta)),
+            size: AtomicU64::new(size),
+        }
+    }
+}
+
 /// A single storage server: owns one directory tree of file-UUID
 /// directories, services appends (one at a time per file) and
 /// concurrent reads.
@@ -49,9 +96,10 @@ const FRAGMENT_HEADER: usize = 16;
 pub struct Dataserver {
     host: HostId,
     root: PathBuf,
-    /// Per-file append locks, lazily created ("the dataserver only
-    /// services one append request at a time for each file").
-    append_locks: Mutex<HashMap<FileId, Arc<Mutex<()>>>>,
+    /// Every file this dataserver has touched. The map lock also
+    /// serializes the namespace steps — create, delete and the first
+    /// load from disk — so a file has at most one entry.
+    files: Mutex<HashMap<FileId, Arc<FileState>>>,
     /// Fault-injection switch: while false, every data operation
     /// returns [`FsError::Unavailable`], as a crashed process would
     /// refuse connections. State on disk is untouched, so a restart
@@ -84,7 +132,7 @@ impl Dataserver {
         Ok(Dataserver {
             host,
             root: root.to_path_buf(),
-            append_locks: Mutex::new(HashMap::new()),
+            files: Mutex::new(HashMap::new()),
             up: AtomicBool::new(true),
             rtt_us: AtomicU64::new(0),
             metrics: std::sync::OnceLock::new(),
@@ -207,20 +255,29 @@ impl Dataserver {
     /// the file.
     pub fn create_file(&self, meta: &FileMeta) -> Result<(), FsError> {
         self.ensure_up()?;
+        let mut files = self.files.lock();
         let dir = self.file_dir(meta.id);
         if dir.exists() {
             return Err(FsError::AlreadyExists(meta.name.clone()));
         }
         std::fs::create_dir_all(&dir)?;
-        self.write_meta(meta)?;
+        // No chunk file exists yet, so the extents give the watermark.
+        let size = meta.sealed_bytes();
+        self.write_meta(meta, size)?;
+        files.insert(meta.id, Arc::new(FileState::new(meta.clone(), size)));
         Ok(())
     }
 
-    fn write_meta(&self, meta: &FileMeta) -> Result<(), FsError> {
-        let body =
-            serde_json::to_vec_pretty(meta).map_err(|e| FsError::CorruptMetadata(e.to_string()))?;
-        // Write-then-rename: concurrent readers must never observe a
-        // truncated metadata file mid-rewrite.
+    /// Writes `meta` with its size stamped as `size`.
+    fn write_meta(&self, meta: &FileMeta, size: u64) -> Result<(), FsError> {
+        let stamped = FileMeta {
+            size,
+            ..meta.clone()
+        };
+        let body = serde_json::to_vec_pretty(&stamped)
+            .map_err(|e| FsError::CorruptMetadata(e.to_string()))?;
+        // Write-then-rename: a crash mid-rewrite must never leave a
+        // truncated metadata file.
         let dir = self.file_dir(meta.id);
         let tmp = dir.join(format!("meta.tmp.{:?}", std::thread::current().id()));
         std::fs::write(&tmp, body)?;
@@ -228,35 +285,88 @@ impl Dataserver {
         Ok(())
     }
 
-    /// Overwrites the locally stored metadata of a replica (used when
-    /// a file is renamed, so a post-crash nameserver rebuild sees the
-    /// current name).
+    /// The in-memory state of a replica, loaded from disk on first
+    /// touch.
+    fn file(&self, id: FileId) -> Result<Arc<FileState>, FsError> {
+        self.ensure_up()?;
+        let mut files = self.files.lock();
+        if let Some(f) = files.get(&id) {
+            return Ok(Arc::clone(f));
+        }
+        let body = match std::fs::read(self.file_dir(id).join("meta")) {
+            Ok(body) => body,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(FsError::NotFound(id.to_string()))
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let meta: FileMeta =
+            serde_json::from_slice(&body).map_err(|e| FsError::CorruptMetadata(e.to_string()))?;
+        let size = self.extent_size(&meta)?;
+        let f = Arc::new(FileState::new(meta, size));
+        files.insert(id, Arc::clone(&f));
+        Ok(f)
+    }
+
+    /// The size the chunk files on disk imply: the highest-numbered
+    /// chunk's start plus its length. A coded replica has dropped its
+    /// sealed chunks, so the seal watermark is a floor.
+    fn extent_size(&self, meta: &FileMeta) -> Result<u64, FsError> {
+        let mut tail: Option<(u64, u64)> = None;
+        for entry in std::fs::read_dir(self.file_dir(meta.id))? {
+            let entry = entry?;
+            // Chunk files are named by their 1-based number; skip
+            // `meta`, fragments and temporaries.
+            let Some(number) = entry
+                .file_name()
+                .to_str()
+                .and_then(|n| n.parse::<u64>().ok())
+            else {
+                continue;
+            };
+            if number >= 1 && tail.is_none_or(|(chunk, _)| number - 1 > chunk) {
+                tail = Some((number - 1, entry.metadata()?.len()));
+            }
+        }
+        let extent = tail.map_or(0, |(chunk, len)| chunk * meta.chunk_size + len);
+        Ok(extent.max(meta.sealed_bytes()))
+    }
+
+    /// Overwrites the structural metadata of a replica (rename, repair,
+    /// seal, primary re-election), so a post-crash nameserver rebuild
+    /// sees the current mapping. `meta.size` is ignored: the size comes
+    /// from the chunk extents.
     ///
     /// # Errors
     ///
     /// Returns [`FsError::NotFound`] if the replica is absent.
     pub fn update_meta(&self, meta: &FileMeta) -> Result<(), FsError> {
-        self.ensure_up()?;
-        if !self.has_file(meta.id) {
+        let f = self.file(meta.id)?;
+        let mut current = f.meta.lock();
+        let Some(current) = current.as_mut() else {
             return Err(FsError::NotFound(meta.id.to_string()));
-        }
-        self.write_meta(meta)
+        };
+        // A raised seal watermark is a size floor, as on a fresh load.
+        let sealed = meta.sealed_bytes();
+        let size = f.size.fetch_max(sealed, Ordering::AcqRel).max(sealed);
+        self.write_meta(meta, size)?;
+        *current = meta.clone();
+        Ok(())
     }
 
-    /// Reads the locally stored metadata of a file replica.
+    /// The locally stored metadata of a file replica, with its current
+    /// size.
     ///
     /// # Errors
     ///
     /// Returns [`FsError::NotFound`] if the replica is absent, or
     /// [`FsError::CorruptMetadata`] if the metadata fails to parse.
     pub fn read_meta(&self, id: FileId) -> Result<FileMeta, FsError> {
-        self.ensure_up()?;
-        let path = self.file_dir(id).join("meta");
-        if !path.exists() {
-            return Err(FsError::NotFound(id.to_string()));
-        }
-        let body = std::fs::read(&path)?;
-        serde_json::from_slice(&body).map_err(|e| FsError::CorruptMetadata(e.to_string()))
+        let f = self.file(id)?;
+        let meta = f.meta.lock().clone();
+        let mut meta = meta.ok_or_else(|| FsError::NotFound(id.to_string()))?;
+        meta.size = f.size.load(Ordering::Acquire);
+        Ok(meta)
     }
 
     /// Whether this dataserver holds a replica of the file. A downed
@@ -267,23 +377,22 @@ impl Dataserver {
         self.is_up() && self.file_dir(id).join("meta").exists()
     }
 
-    /// The replica's current size in bytes (sum of chunk files).
+    /// Bytes of chunk data the replica holds on disk. Equal to its size
+    /// except for a coded replica, whose sealed chunks have been
+    /// dropped.
     ///
     /// # Errors
     ///
     /// Returns [`FsError::NotFound`] if the replica is absent.
     pub fn local_size(&self, id: FileId) -> Result<u64, FsError> {
-        let meta = self.read_meta(id)?;
-        // Sum every chunk file the replica holds. Sealed chunks of a
-        // coded file are dropped locally, leaving holes below the seal
-        // watermark, so absence must not terminate the walk early.
-        let mut size = 0u64;
-        for chunk in 0..meta.chunk_count().max(meta.sealed_chunks) {
-            if let Ok(md) = std::fs::metadata(self.chunk_path(id, chunk)) {
-                size += md.len();
-            }
-        }
-        Ok(size)
+        let f = self.file(id)?;
+        let chunks = f.size.load(Ordering::Acquire).div_ceil(f.chunk_size);
+        // Dropped chunks leave holes below the seal watermark, so
+        // absence must not end the walk early.
+        Ok((0..chunks)
+            .filter_map(|chunk| std::fs::metadata(self.chunk_path(id, chunk)).ok())
+            .map(|md| md.len())
+            .sum())
     }
 
     /// Appends `data` to the local replica, spilling across chunk
@@ -294,13 +403,15 @@ impl Dataserver {
     ///
     /// # Errors
     ///
-    /// Returns [`FsError::NotFound`] if the replica is absent.
+    /// Returns [`FsError::NotFound`] if the replica is absent, or
+    /// [`FsError::CorruptMetadata`] if a chunk file is shorter than the
+    /// size says (its acknowledged bytes are gone).
     pub fn append_local(&self, id: FileId, data: &[u8]) -> Result<u64, FsError> {
         let mut span = self.io_span("chunk_append");
-        trace::annotate(&mut span, "bytes", data.len().to_string());
+        trace::annotate(&mut span, "bytes", data.len());
         let out = self.append_local_inner(id, data);
         match &out {
-            Ok(size) => trace::annotate(&mut span, "size", size.to_string()),
+            Ok(size) => trace::annotate(&mut span, "size", size),
             Err(_) => trace::mark_error(&mut span),
         }
         out
@@ -308,31 +419,38 @@ impl Dataserver {
 
     fn append_local_inner(&self, id: FileId, data: &[u8]) -> Result<u64, FsError> {
         self.simulate_rtt();
-        let lock = {
-            let mut locks = self.append_locks.lock();
-            locks.entry(id).or_default().clone()
-        };
-        let _guard = lock.lock();
-
-        let mut meta = self.read_meta(id)?;
-        let chunk_size = meta.chunk_size;
-        let mut pos = meta.size;
+        let f = self.file(id)?;
+        let guard = f.meta.lock();
+        if guard.is_none() {
+            return Err(FsError::NotFound(id.to_string()));
+        }
+        let chunk_size = f.chunk_size;
+        let mut pos = f.size.load(Ordering::Acquire);
         let mut remaining = data;
         while !remaining.is_empty() {
             let chunk = pos / chunk_size;
             let offset_in_chunk = pos % chunk_size;
             let take = ((chunk_size - offset_in_chunk) as usize).min(remaining.len());
-            let mut f = OpenOptions::new()
+            let file = OpenOptions::new()
                 .create(true)
-                .append(true)
+                .write(true)
+                .truncate(false)
                 .open(self.chunk_path(id, chunk))?;
-            debug_assert_eq!(f.metadata()?.len(), offset_in_chunk);
-            f.write_all(&remaining[..take])?;
+            // Bytes past the size are torn, never acknowledged: the
+            // positional write replaces them. A chunk shorter than the
+            // size has lost acknowledged bytes; never paper over that.
+            let len = file.metadata()?.len();
+            if len < offset_in_chunk {
+                return Err(FsError::CorruptMetadata(format!(
+                    "chunk {} of {id} holds {len} bytes, its size needs {offset_in_chunk}",
+                    chunk + 1
+                )));
+            }
+            file.write_all_at(&remaining[..take], offset_in_chunk)?;
             remaining = &remaining[take..];
             pos += take as u64;
         }
-        meta.size = pos;
-        self.write_meta(&meta)?;
+        f.size.store(pos, Ordering::Release);
         if let Some(m) = self.metrics.get() {
             m.appends.inc();
             m.append_bytes.record(data.len() as u64);
@@ -351,12 +469,13 @@ impl Dataserver {
     /// Returns [`FsError::NotFound`] if the replica is absent.
     pub fn read_local(&self, id: FileId, offset: u64, len: u64) -> Result<(Vec<u8>, u64), FsError> {
         self.simulate_rtt();
-        let meta = self.read_meta(id)?;
+        let f = self.file(id)?;
+        let size = f.size.load(Ordering::Acquire);
         // Size the allocation from the replica's actual extent — `len`
         // may reach far past end-of-file.
-        let want = (offset + len).min(meta.size).saturating_sub(offset);
+        let want = (offset + len).min(size).saturating_sub(offset);
         let mut out = vec![0u8; want as usize];
-        let (filled, size) = self.fill_from_chunks(&meta, offset, &mut out)?;
+        let filled = self.fill_from_chunks(id, f.chunk_size, size, offset, &mut out)?;
         debug_assert_eq!(filled, out.len());
         Ok((out, size))
     }
@@ -378,49 +497,49 @@ impl Dataserver {
         buf: &mut [u8],
     ) -> Result<(usize, u64), FsError> {
         let mut span = self.io_span("chunk_read");
-        trace::annotate(&mut span, "offset", offset.to_string());
+        trace::annotate(&mut span, "offset", offset);
         let out = (|| {
             self.simulate_rtt();
-            let meta = self.read_meta(id)?;
-            self.fill_from_chunks(&meta, offset, buf)
+            let f = self.file(id)?;
+            let size = f.size.load(Ordering::Acquire);
+            let filled = self.fill_from_chunks(id, f.chunk_size, size, offset, buf)?;
+            Ok((filled, size))
         })();
         match &out {
-            Ok((filled, _)) => trace::annotate(&mut span, "bytes", filled.to_string()),
+            Ok((filled, _)) => trace::annotate(&mut span, "bytes", filled),
             Err(_) => trace::mark_error(&mut span),
         }
         out
     }
 
     /// The shared read core: fills `buf` from the chunk files starting
-    /// at `offset`, truncating at the replica's size.
+    /// at `offset`, truncating at `size`. Returns the bytes filled.
     fn fill_from_chunks(
         &self,
-        meta: &FileMeta,
+        id: FileId,
+        chunk_size: u64,
+        size: u64,
         offset: u64,
         buf: &mut [u8],
-    ) -> Result<(usize, u64), FsError> {
-        let size = meta.size;
+    ) -> Result<usize, FsError> {
         let end = (offset + buf.len() as u64).min(size);
-        if offset >= end {
-            // Size probes (zero-length reads) are requests too.
-            if let Some(m) = self.metrics.get() {
-                m.reads.inc();
-                m.read_bytes.record(0);
-            }
-            return Ok((0, size));
-        }
         let mut filled = 0usize;
-        for slice in split_range(meta.chunk_size, offset, end - offset) {
-            let mut f = std::fs::File::open(self.chunk_path(meta.id, slice.chunk))?;
-            f.seek(SeekFrom::Start(slice.offset_in_chunk))?;
-            f.read_exact(&mut buf[filled..filled + slice.len as usize])?;
-            filled += slice.len as usize;
+        // Size probes (zero-length reads) are requests too.
+        if offset < end {
+            for slice in split_range(chunk_size, offset, end - offset) {
+                let file = std::fs::File::open(self.chunk_path(id, slice.chunk))?;
+                file.read_exact_at(
+                    &mut buf[filled..filled + slice.len as usize],
+                    slice.offset_in_chunk,
+                )?;
+                filled += slice.len as usize;
+            }
         }
         if let Some(m) = self.metrics.get() {
             m.reads.inc();
             m.read_bytes.record(filled as u64);
         }
-        Ok((filled, size))
+        Ok(filled)
     }
 
     /// Stores fragment `index` of sealed chunk `chunk` (DESIGN.md §14).
@@ -441,8 +560,8 @@ impl Dataserver {
         shard: &[u8],
     ) -> Result<(), FsError> {
         let mut span = self.io_span("fragment_put");
-        trace::annotate(&mut span, "chunk", chunk.to_string());
-        trace::annotate(&mut span, "fragment", index.to_string());
+        trace::annotate(&mut span, "chunk", chunk);
+        trace::annotate(&mut span, "fragment", index);
         let out = self.put_fragment_inner(id, chunk, index, payload_len, shard);
         if out.is_err() {
             trace::mark_error(&mut span);
@@ -498,8 +617,8 @@ impl Dataserver {
         index: usize,
     ) -> Result<(Vec<u8>, u64), FsError> {
         let mut span = self.io_span("fragment_read");
-        trace::annotate(&mut span, "chunk", chunk.to_string());
-        trace::annotate(&mut span, "fragment", index.to_string());
+        trace::annotate(&mut span, "chunk", chunk);
+        trace::annotate(&mut span, "fragment", index);
         let out = self.read_fragment_inner(id, chunk, index);
         if out.is_err() {
             trace::mark_error(&mut span);
@@ -572,17 +691,22 @@ impl Dataserver {
     /// Returns [`FsError::NotFound`] if the replica is absent.
     pub fn delete_file(&self, id: FileId) -> Result<(), FsError> {
         self.ensure_up()?;
+        let mut files = self.files.lock();
         let dir = self.file_dir(id);
         if !dir.exists() {
             return Err(FsError::NotFound(id.to_string()));
         }
+        // Waits out an in-flight append and turns away queued ones.
+        if let Some(f) = files.remove(&id) {
+            *f.meta.lock() = None;
+        }
         std::fs::remove_dir_all(dir)?;
-        self.append_locks.lock().remove(&id);
         Ok(())
     }
 
-    /// Lists the metadata of every replica stored here — the
-    /// nameserver's rebuild source after an unclean restart (§3.3.1).
+    /// Lists the metadata of every replica stored here, each with its
+    /// size derived from the chunk extents — the nameserver's rebuild
+    /// source after an unclean restart (§3.3.1).
     ///
     /// # Errors
     ///
@@ -629,7 +753,7 @@ impl Dataserver {
         trace::annotate(&mut span, "file", &meta.name);
         let out = self.pull_repair_inner(source, meta);
         match &out {
-            Ok(copied) => trace::annotate(&mut span, "bytes", copied.to_string()),
+            Ok(copied) => trace::annotate(&mut span, "bytes", copied),
             Err(_) => trace::mark_error(&mut span),
         }
         out
@@ -649,9 +773,7 @@ impl Dataserver {
         // starts there. `sealed_bytes` is chunk-aligned, which keeps
         // `append_local`'s chunk numbering consistent with the source.
         let start = meta.sealed_bytes().min(meta.size);
-        let mut shell = meta.clone();
-        shell.size = start;
-        self.create_file(&shell)?;
+        self.create_file(meta)?;
         let copy = || -> Result<u64, FsError> {
             let mut copied = 0u64;
             loop {
@@ -667,11 +789,9 @@ impl Dataserver {
         };
         match copy() {
             Ok(copied) => {
-                // Stamp the replica with the copied size so a
-                // nameserver rebuild sees a consistent mapping.
-                let mut stamped = meta.clone();
-                stamped.size = start + copied;
-                self.update_meta(&stamped)?;
+                // Stamp `meta` with the copied size, so the file on
+                // disk reads as a complete replica.
+                self.update_meta(meta)?;
                 Ok(copied)
             }
             Err(e) => {
@@ -935,6 +1055,256 @@ mod tests {
         ));
         // The failed pull cleaned up after itself.
         assert!(!dst.has_file(m.id));
+    }
+
+    /// A fresh dataserver on the same root must see exactly what the
+    /// live one's in-memory state serves: the file set, every replica's
+    /// metadata and size, the bytes from `from` on, and the bytes held.
+    fn assert_matches_fresh_open(ds: &Dataserver, ids: &[u128], from: u64) {
+        let fresh = Dataserver::open(ds.host(), ds.root()).unwrap();
+        assert_eq!(ds.list_files().unwrap(), fresh.list_files().unwrap());
+        for id in ids.iter().copied().map(FileId) {
+            assert_eq!(ds.has_file(id), fresh.has_file(id), "has_file {id}");
+            let (live, reopened) = (
+                ds.read_local(id, from, 1 << 20),
+                fresh.read_local(id, from, 1 << 20),
+            );
+            match (&live, &reopened) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "read {id}"),
+                (Err(FsError::NotFound(_)), Err(FsError::NotFound(_))) => {}
+                _ => panic!("read {id}: live {live:?} vs reopened {reopened:?}"),
+            }
+            assert_eq!(
+                ds.local_size(id).ok(),
+                fresh.local_size(id).ok(),
+                "local_size {id}"
+            );
+            assert_eq!(ds.read_meta(id).ok(), fresh.read_meta(id).ok(), "meta {id}");
+        }
+    }
+
+    #[test]
+    fn torn_tail_never_displaces_an_acknowledged_append() {
+        // A crash between a chunk write and its acknowledgement leaves
+        // unacknowledged bytes past the last acked size: inside the
+        // tail chunk, or spilled into a new chunk file.
+        for (tag, acked, torn_chunk) in [("torn-in-chunk", 4, "1"), ("torn-new-chunk", 8, "2")] {
+            let dir = TempDir::new(tag);
+            let m = meta(30, 8);
+            {
+                let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+                ds.create_file(&m).unwrap();
+                for n in 1..=acked / 2 {
+                    assert_eq!(ds.append_local(m.id, b"AA").unwrap(), 2 * n);
+                }
+            }
+            let chunk = dir.0.join(m.id.as_hex()).join(torn_chunk);
+            let mut f = OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(chunk)
+                .unwrap();
+            std::io::Write::write_all(&mut f, b"TORN").unwrap();
+            drop(f);
+
+            let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+            let size = ds.append_local(m.id, b"BBBB").unwrap();
+            let (tail, _) = ds.read_local(m.id, size - 4, 4).unwrap();
+            assert_eq!(
+                tail, b"BBBB",
+                "{tag}: the ack's offset serves the acked bytes"
+            );
+            let (head, _) = ds.read_local(m.id, 0, acked).unwrap();
+            assert!(
+                head.len() as u64 == acked && head.iter().all(|b| *b == b'A'),
+                "{tag}: earlier acked bytes unchanged"
+            );
+            assert_matches_fresh_open(&ds, &[30], 0);
+        }
+    }
+
+    #[test]
+    fn append_refuses_a_chunk_that_lost_acknowledged_bytes() {
+        let dir = TempDir::new("short-chunk");
+        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let m = meta(31, 8);
+        ds.create_file(&m).unwrap();
+        ds.append_local(m.id, b"abcdef").unwrap();
+        let chunk = dir.0.join(m.id.as_hex()).join("1");
+        OpenOptions::new()
+            .write(true)
+            .open(chunk)
+            .unwrap()
+            .set_len(3)
+            .unwrap();
+        assert!(matches!(
+            ds.append_local(m.id, b"x"),
+            Err(FsError::CorruptMetadata(_))
+        ));
+    }
+
+    #[test]
+    fn state_matches_fresh_open_after_create_append_read() {
+        let dir = TempDir::new("coherent-append");
+        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let (a, b) = (meta(40, 4), meta(41, 4));
+        ds.create_file(&a).unwrap();
+        ds.create_file(&b).unwrap();
+        assert_matches_fresh_open(&ds, &[40, 41, 42], 0);
+        ds.append_local(a.id, b"0123456789").unwrap();
+        ds.append_local(a.id, b"ab").unwrap();
+        assert_eq!(ds.read_local(a.id, 2, 9).unwrap().0, b"23456789a");
+        assert_matches_fresh_open(&ds, &[40, 41, 42], 0);
+    }
+
+    #[test]
+    fn state_matches_fresh_open_after_update_meta() {
+        let dir = TempDir::new("coherent-update");
+        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let mut m = meta(43, 4);
+        m.replicas = vec![HostId(0), HostId(1), HostId(2)];
+        ds.create_file(&m).unwrap();
+        ds.append_local(m.id, b"payload").unwrap();
+        // Rename, repair (a replaced replica) and primary re-election,
+        // each carrying the nameserver's possibly stale size.
+        m.name = "renamed".into();
+        ds.update_meta(&m).unwrap();
+        assert_matches_fresh_open(&ds, &[43], 0);
+        m.replicas[2] = HostId(7);
+        ds.update_meta(&m).unwrap();
+        assert_matches_fresh_open(&ds, &[43], 0);
+        m.replicas.swap(0, 1);
+        ds.update_meta(&m).unwrap();
+        let seen = ds.read_meta(m.id).unwrap();
+        assert_eq!((seen.name.as_str(), seen.size), ("renamed", 7));
+        assert_eq!(seen.replicas, [HostId(1), HostId(0), HostId(7)]);
+        assert_matches_fresh_open(&ds, &[43], 0);
+        assert!(matches!(
+            ds.update_meta(&meta(44, 4)),
+            Err(FsError::NotFound(_))
+        ));
+    }
+
+    #[test]
+    fn state_matches_fresh_open_after_seal_and_drop() {
+        let dir = TempDir::new("coherent-seal");
+        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        // 10 bytes: two complete chunks and a 2-byte tail; 8 bytes: two
+        // complete chunks and no tail once both are dropped.
+        for (id, len) in [(45u128, 10usize), (46, 8)] {
+            let mut m = meta(id, 4);
+            m.redundancy = crate::types::Redundancy::Coded { k: 2, m: 1 };
+            ds.create_file(&m).unwrap();
+            ds.append_local(m.id, &vec![id as u8; len]).unwrap();
+            m.sealed_chunks = 2;
+            ds.update_meta(&m).unwrap();
+            assert_matches_fresh_open(&ds, &[id], 8);
+            ds.drop_chunk(m.id, 0).unwrap();
+            assert_matches_fresh_open(&ds, &[id], 8);
+            ds.drop_chunk(m.id, 1).unwrap();
+            assert_matches_fresh_open(&ds, &[id], 8);
+            assert_eq!(ds.read_meta(m.id).unwrap().size, len as u64);
+            assert_eq!(ds.local_size(m.id).unwrap(), len as u64 - 8);
+        }
+        // The tail stays appendable above the watermark.
+        assert_eq!(ds.append_local(FileId(46), b"xy").unwrap(), 10);
+        assert_eq!(ds.read_local(FileId(46), 8, 4).unwrap().0, b"xy");
+        assert_matches_fresh_open(&ds, &[45, 46], 8);
+    }
+
+    #[test]
+    fn state_matches_fresh_open_after_delete_and_recreate() {
+        let dir = TempDir::new("coherent-recreate");
+        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let m = meta(47, 4);
+        ds.create_file(&m).unwrap();
+        ds.append_local(m.id, b"first life").unwrap();
+        ds.delete_file(m.id).unwrap();
+        assert_matches_fresh_open(&ds, &[47], 0);
+        ds.create_file(&m).unwrap();
+        assert_eq!(ds.read_local(m.id, 0, 100).unwrap(), (Vec::new(), 0));
+        assert_eq!(ds.append_local(m.id, b"second").unwrap(), 6);
+        assert_eq!(ds.read_local(m.id, 0, 100).unwrap().0, b"second");
+        assert_matches_fresh_open(&ds, &[47], 0);
+    }
+
+    /// Serves one chunk, then fails like a source that crashed mid-copy.
+    struct FailsAfterFirstRead<'a>(&'a Dataserver, std::sync::atomic::AtomicBool);
+    impl RepairSource for FailsAfterFirstRead<'_> {
+        fn repair_read(
+            &self,
+            id: FileId,
+            offset: u64,
+            len: u64,
+        ) -> Result<(Vec<u8>, u64), FsError> {
+            if self.1.swap(true, Ordering::SeqCst) {
+                return Err(FsError::Unavailable("source crashed".into()));
+            }
+            self.0.repair_read(id, offset, len)
+        }
+    }
+
+    #[test]
+    fn state_matches_fresh_open_after_failed_pull_repair() {
+        let src_dir = TempDir::new("coherent-pull-src");
+        let dst_dir = TempDir::new("coherent-pull-dst");
+        let src = Dataserver::open(HostId(0), &src_dir.0).unwrap();
+        let dst = Dataserver::open(HostId(1), &dst_dir.0).unwrap();
+        let mut m = meta(48, 4);
+        src.create_file(&m).unwrap();
+        m.size = src.append_local(m.id, b"three chunks").unwrap();
+        let source = FailsAfterFirstRead(&src, AtomicBool::new(false));
+        assert!(matches!(
+            dst.pull_repair(&source, &m),
+            Err(FsError::Unavailable(_))
+        ));
+        assert!(!dst.has_file(m.id));
+        assert_matches_fresh_open(&dst, &[48], 0);
+        // The retry starts clean and converges.
+        assert_eq!(dst.pull_repair(&src, &m).unwrap(), 12);
+        assert_matches_fresh_open(&dst, &[48], 0);
+        assert_eq!(dst.read_local(m.id, 0, 100).unwrap().0, b"three chunks");
+    }
+
+    #[test]
+    fn concurrent_appends_racing_reads_see_acknowledged_prefixes() {
+        const REC: usize = 6;
+        let dir = TempDir::new("coherent-race");
+        let ds = Arc::new(Dataserver::open(HostId(0), &dir.0).unwrap());
+        let m = meta(49, 16); // records straddle chunk boundaries
+        ds.create_file(&m).unwrap();
+        let writers: Vec<_> = (0..3u8)
+            .map(|t| {
+                let ds = Arc::clone(&ds);
+                std::thread::spawn(move || {
+                    for _ in 0..40 {
+                        ds.append_local(FileId(49), &[t + 1; REC]).unwrap();
+                    }
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let ds = Arc::clone(&ds);
+                std::thread::spawn(move || {
+                    let mut last = 0;
+                    for _ in 0..200 {
+                        let (data, size) = ds.read_local(FileId(49), 0, 1 << 20).unwrap();
+                        assert_eq!(data.len() as u64, size);
+                        assert!(size >= last && size % REC as u64 == 0, "size {size}");
+                        last = size;
+                        for rec in data.chunks(REC) {
+                            assert!(rec.iter().all(|b| *b == rec[0] && *b != 0), "{rec:?}");
+                        }
+                    }
+                })
+            })
+            .collect();
+        for t in writers.into_iter().chain(readers) {
+            t.join().unwrap();
+        }
+        assert_eq!(ds.read_meta(m.id).unwrap().size, 3 * 40 * REC as u64);
+        assert_matches_fresh_open(&ds, &[49], 0);
     }
 
     #[test]

@@ -104,7 +104,7 @@ fn parallel_strong_read_survives_secondary_kill_cycles() {
     // flight; the primary-pinned tail piece is untouched and the rest
     // fail over, so every read sees the full append.
     c.set_simulated_rtt(Duration::from_millis(2));
-    for victim in meta.replicas[1..].to_vec() {
+    for victim in meta.replicas[1..].iter().copied() {
         let ds = c.dataserver(victim).clone();
         let killer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(1));

@@ -2,15 +2,14 @@
 //! enumeration.
 
 use std::collections::VecDeque;
-
-use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 use crate::ids::{HostId, LinkId, NodeId, NodeKind, PodId, RackId};
 use crate::path::Path;
 use crate::Bps;
 
 /// A node in the network: a host or a switch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     id: NodeId,
     kind: NodeKind,
@@ -48,7 +47,7 @@ impl Node {
 ///
 /// Physical cables are modelled as two directed links so that the two
 /// directions can carry (and congest) independently.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Link {
     id: LinkId,
     src: NodeId,
@@ -91,7 +90,7 @@ impl Link {
 /// mutators ([`Topology::add_node`], [`Topology::add_duplex_link`])
 /// before calling [`Topology::freeze`]. Most algorithms only need the
 /// read API.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
@@ -107,8 +106,16 @@ pub struct Topology {
     pods: Vec<Vec<RackId>>,
     /// Edge switch serving each rack.
     rack_edge: Vec<NodeId>,
+    /// Host-to-host hop counts behind [`Topology::distance`]:
+    /// `hops[a][b]` is the hop count from host `a` to host `b`, or
+    /// [`UNREACHABLE`]. Each row is filled by one BFS on first use;
+    /// the mutators that can change a distance (`register_host`,
+    /// `add_duplex_link`) reset the table.
+    hops: OnceLock<Vec<OnceLock<Box<[u32]>>>>,
     frozen: bool,
 }
+
+const UNREACHABLE: u32 = u32::MAX;
 
 impl Topology {
     /// Creates an empty, mutable topology.
@@ -143,6 +150,7 @@ impl Topology {
     /// Panics if `node` is not a `Host` node or the topology is frozen.
     pub fn register_host(&mut self, node: NodeId, rack: RackId, pod: PodId) -> HostId {
         assert!(!self.frozen, "cannot mutate a frozen topology");
+        self.hops = OnceLock::new();
         assert_eq!(
             self.nodes[node.index()].kind,
             NodeKind::Host,
@@ -181,6 +189,7 @@ impl Topology {
     /// frozen.
     pub fn add_duplex_link(&mut self, a: NodeId, b: NodeId, capacity: Bps) -> (LinkId, LinkId) {
         assert!(!self.frozen, "cannot mutate a frozen topology");
+        self.hops = OnceLock::new();
         assert!(
             capacity.is_finite() && capacity > 0.0,
             "link capacity must be positive and finite"
@@ -356,13 +365,32 @@ impl Topology {
         if a == b {
             return Some(0);
         }
-        let (dist, _) = self.bfs(self.host_node(a));
-        let d = dist[self.host_node(b).index()];
-        if d == usize::MAX {
-            None
-        } else {
-            Some(d)
+        let rows = self
+            .hops
+            .get_or_init(|| (0..self.host_count()).map(|_| OnceLock::new()).collect());
+        let row = rows[a.index()].get_or_init(|| self.host_hops(a));
+        match row[b.index()] {
+            UNREACHABLE => None,
+            d => Some(d as usize),
         }
+    }
+
+    /// Distance-only BFS from host `src`: hop counts to every host.
+    fn host_hops(&self, src: HostId) -> Box<[u32]> {
+        let mut dist = vec![UNREACHABLE; self.nodes.len()];
+        let start = self.host_node(src);
+        dist[start.index()] = 0;
+        let mut q = VecDeque::from([start]);
+        while let Some(u) = q.pop_front() {
+            for &l in self.out_links(u) {
+                let v = self.link(l).dst().index();
+                if dist[v] == UNREACHABLE {
+                    dist[v] = dist[u.index()] + 1;
+                    q.push_back(NodeId(v as u32));
+                }
+            }
+        }
+        self.host_nodes.iter().map(|n| dist[n.index()]).collect()
     }
 
     /// Enumerates **all** shortest paths from host `src` to host `dst`.
@@ -526,6 +554,83 @@ mod tests {
         let a = t.add_node(NodeKind::Host, None, None);
         let b = t.add_node(NodeKind::Host, None, None);
         t.add_duplex_link(a, b, 0.0);
+    }
+
+    /// Test oracle: the path-enumeration BFS, run afresh per query.
+    fn bfs_distance(t: &Topology, a: HostId, b: HostId) -> Option<usize> {
+        let (dist, _) = t.bfs(t.host_node(a));
+        Some(dist[t.host_node(b).index()]).filter(|d| *d != usize::MAX)
+    }
+
+    fn assert_distance_matches_oracle(t: &Topology) {
+        for a in t.hosts() {
+            for b in t.hosts() {
+                assert_eq!(t.distance(a, b), bfs_distance(t, a, b), "{a:?} -> {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn distance_matches_bfs_on_tree_and_fat_tree() {
+        assert_distance_matches_oracle(&Topology::three_tier(&crate::TreeParams::paper_testbed()));
+        assert_distance_matches_oracle(&Topology::fat_tree(&crate::FatTreeParams {
+            k: 4,
+            link_capacity: GBPS,
+        }));
+    }
+
+    /// A random graph of hosts and switches; some hosts may be cut off.
+    fn random_graph(hosts: usize, switches: usize, links: &[(usize, usize)]) -> Topology {
+        let mut t = Topology::new();
+        let nodes: Vec<NodeId> = (0..hosts + switches)
+            .map(|i| {
+                let kind = if i < hosts {
+                    NodeKind::Host
+                } else {
+                    NodeKind::EdgeSwitch
+                };
+                t.add_node(kind, Some(RackId(0)), Some(PodId(0)))
+            })
+            .collect();
+        for &node in &nodes[..hosts] {
+            t.register_host(node, RackId(0), PodId(0));
+        }
+        for &(a, b) in links {
+            let (a, b) = (nodes[a % nodes.len()], nodes[b % nodes.len()]);
+            if a != b {
+                t.add_duplex_link(a, b, GBPS);
+            }
+        }
+        t
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn distance_matches_bfs_on_random_graphs(
+            hosts in 1usize..8,
+            switches in 0usize..6,
+            links in proptest::collection::vec((0usize..14, 0usize..14), 0..16),
+        ) {
+            let t = random_graph(hosts, switches, &links);
+            assert_distance_matches_oracle(&t);
+        }
+    }
+
+    #[test]
+    fn mutators_invalidate_the_hop_table() {
+        let mut t = random_graph(3, 1, &[(0, 3), (1, 3)]);
+        assert_eq!(t.distance(HostId(0), HostId(2)), None);
+        assert_eq!(t.distance(HostId(0), HostId(1)), Some(2));
+        // A new cable reaches the cut-off host; a shortcut shortens a path.
+        t.add_duplex_link(t.host_node(HostId(2)), NodeId(3), GBPS);
+        t.add_duplex_link(t.host_node(HostId(0)), t.host_node(HostId(1)), GBPS);
+        assert_distance_matches_oracle(&t);
+        // A host registered after the table filled gets its own row.
+        let late = t.add_node(NodeKind::Host, Some(RackId(0)), Some(PodId(0)));
+        let h = t.register_host(late, RackId(0), PodId(0));
+        t.add_duplex_link(late, NodeId(3), GBPS);
+        assert_eq!(t.distance(h, HostId(0)), Some(2));
+        assert_distance_matches_oracle(&t);
     }
 
     #[test]

@@ -203,10 +203,10 @@ impl RepairExecutor {
             // repair spans (copy / rebuild) nest underneath it.
             let mut span = trace_handle.span("repair_task");
             trace::annotate(&mut span, "file", &task.name);
-            trace::annotate(&mut span, "source", task.source.0.to_string());
-            trace::annotate(&mut span, "dest", task.dest.0.to_string());
+            trace::annotate(&mut span, "source", task.source.0);
+            trace::annotate(&mut span, "dest", task.dest.0);
             if let Some(index) = task.fragment {
-                trace::annotate(&mut span, "fragment", index.to_string());
+                trace::annotate(&mut span, "fragment", index);
             }
             let result = {
                 let _g = span.as_ref().map(trace::ActiveSpan::enter);
@@ -216,7 +216,7 @@ impl RepairExecutor {
                 }
             };
             match &result {
-                Ok(bytes) => trace::annotate(&mut span, "bytes", bytes.to_string()),
+                Ok(bytes) => trace::annotate(&mut span, "bytes", bytes),
                 Err(_) => trace::mark_error(&mut span),
             }
             drop(span);

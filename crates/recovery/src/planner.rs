@@ -322,7 +322,7 @@ mod tests {
         let file = under("files/a", 1 << 20, &[0, 5, 10], &dead);
         let tasks = planner.plan(
             &topo,
-            &[file.clone()],
+            std::slice::from_ref(&file),
             &usable(&topo, &dead),
             &mut fsrv,
             SimTime::ZERO,
@@ -420,7 +420,7 @@ mod tests {
         let file = coded_under("files/coded", 4096, 4, &[0, 5, 10, 15, 20, 25], &[0, 2]);
         let tasks = planner.plan(
             &topo,
-            &[file.clone()],
+            std::slice::from_ref(&file),
             &usable(&topo, &dead),
             &mut fsrv,
             SimTime::ZERO,

@@ -107,7 +107,7 @@ impl ShardRouter {
     fn refresh(&self) {
         let mut span = self.span("refresh");
         let map = self.plane.shard_map();
-        trace::annotate(&mut span, "epoch", map.epoch.to_string());
+        trace::annotate(&mut span, "epoch", map.epoch);
         let mut cached = self.cached.lock();
         self.metrics.refreshes.inc();
         if map.epoch != cached.map.epoch {
@@ -146,8 +146,8 @@ impl ShardRouter {
         for attempt in 0..MAX_ROUTE_RETRIES {
             let (shard, epoch) = self.route(name);
             if attempt == 0 {
-                trace::annotate(&mut span, "shard", shard.0.to_string());
-                trace::annotate(&mut span, "epoch", epoch.to_string());
+                trace::annotate(&mut span, "shard", shard.0);
+                trace::annotate(&mut span, "epoch", epoch);
             }
             match op(shard, epoch) {
                 Ok(v) => return Ok(v),

@@ -277,8 +277,8 @@ fn scheduled_read(tracer: &Arc<Tracer>, sc: &Scenario) -> TimelineArm {
             .enumerate()
             .map(|(i, a)| {
                 let mut span = datapath.child("piece");
-                trace::annotate(&mut span, "index", i.to_string());
-                trace::annotate(&mut span, "replica", a.replica.0.to_string());
+                trace::annotate(&mut span, "index", i);
+                trace::annotate(&mut span, "replica", a.replica.0);
                 trace::annotate(&mut span, "links", render_links(&a.path));
                 trace::annotate(&mut span, "est_bw", format!("{:.3e}", a.est_bw));
                 trace::annotate(&mut span, "bits", format!("{:.3e}", a.size_bits));
@@ -321,7 +321,7 @@ fn ecmp_read(tracer: &Arc<Tracer>, sc: &Scenario) -> TimelineArm {
         let bws = fair_bandwidths(&sc.topo, &flows);
         let mut span = datapath.child("piece");
         trace::annotate(&mut span, "index", "0");
-        trace::annotate(&mut span, "replica", replica.0.to_string());
+        trace::annotate(&mut span, "replica", replica.0);
         trace::annotate(&mut span, "links", render_links(&path));
         trace::annotate(&mut span, "bits", format!("{OP_BITS:.3e}"));
         let planned = vec![PlannedSpan {
@@ -375,9 +375,9 @@ fn append_arm(
             .enumerate()
             .map(|(i, path)| {
                 let mut span = datapath.child("relay");
-                trace::annotate(&mut span, "stage", i.to_string());
-                trace::annotate(&mut span, "src", hops[i].0 .0.to_string());
-                trace::annotate(&mut span, "dst", hops[i].1 .0.to_string());
+                trace::annotate(&mut span, "stage", i);
+                trace::annotate(&mut span, "src", hops[i].0 .0);
+                trace::annotate(&mut span, "dst", hops[i].1 .0);
                 trace::annotate(&mut span, "links", render_links(path));
                 PlannedSpan {
                     span,

@@ -506,10 +506,12 @@ impl Drop for ActiveSpan {
 }
 
 /// Annotates the span if one is open — the pervasive call-site idiom
-/// for `Option<ActiveSpan>`.
-pub fn annotate(span: &mut Option<ActiveSpan>, key: &str, value: impl Into<String>) {
+/// for `Option<ActiveSpan>`. The value is rendered only when a span
+/// records, so call sites pass numbers and ids as they are rather than
+/// formatting them up front.
+pub fn annotate(span: &mut Option<ActiveSpan>, key: &str, value: impl std::fmt::Display) {
     if let Some(s) = span.as_mut() {
-        s.annotate(key, value);
+        s.annotate(key, value.to_string());
     }
 }
 
