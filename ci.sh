@@ -11,6 +11,16 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> committed results reproduce byte for byte (figures 4-8 and multipath)"
+rm -rf target/results-check
+mkdir -p target/results-check
+for fig in 4 5 6a 6b 7 8 multipath; do
+  ./target/release/figures --fig "$fig" --json target/results-check
+done > target/results-check/full_run.txt
+for f in results/*; do
+  cmp "$f" "target/results-check/$(basename "$f")"
+done
+
 echo "==> cargo test -q"
 cargo test -q
 

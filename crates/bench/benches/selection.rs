@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use mayflower_baselines::{nearest_replica, SinbadR, StaticLoads};
 use mayflower_flowserver::cost::flow_cost_opts;
-use mayflower_flowserver::{Flowserver, FlowserverConfig};
+use mayflower_flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig};
 use mayflower_net::{ecmp_path, FlowKey, HostId, Topology, TreeParams};
 use mayflower_simcore::{SimRng, SimTime};
 
@@ -37,7 +37,10 @@ fn loaded_flowserver(topo: &Arc<Topology>, n: usize, multipath: bool) -> Flowser
         if a == b {
             continue;
         }
-        fs.select_path_for_replica(b, a, MB256, SimTime::ZERO);
+        fs.select(
+            &FlowRequest::new(b, &[a], MB256, FlowPurpose::Path),
+            SimTime::ZERO,
+        );
         added += 1;
     }
     fs
@@ -51,10 +54,13 @@ fn bench_flowserver_selection(c: &mut Criterion) {
             let mut fs = loaded_flowserver(&topo, load, false);
             let replicas = [HostId(1), HostId(5), HostId(20)];
             b.iter(|| {
-                let sel = fs.select_replica_path(
-                    black_box(HostId(0)),
-                    black_box(&replicas),
-                    MB256,
+                let sel = fs.select(
+                    &FlowRequest::new(
+                        black_box(HostId(0)),
+                        black_box(&replicas),
+                        MB256,
+                        FlowPurpose::Read,
+                    ),
                     SimTime::ZERO,
                 );
                 // Keep the tracker size constant.
@@ -71,7 +77,7 @@ fn bench_flowserver_selection(c: &mut Criterion) {
 /// The pre-fast-path evaluation loop, reconstructed from the public
 /// naive entry points: every shortest path of every replica, a fresh
 /// `flow_cost_opts` per candidate (which scans every tracked flow per
-/// link and allocates throughout). This is what `select_replica_path`
+/// link and allocates throughout). This is what `Flowserver::select`
 /// cost before the cached/incremental/pruned fast path landed; the
 /// `selection_eval` group quantifies the speedup side by side.
 fn naive_select(
@@ -123,10 +129,13 @@ fn bench_naive_vs_fast(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("fast", load), &load, |b, &load| {
             let mut fs = loaded_flowserver(&topo, load, false);
             b.iter(|| {
-                let sel = fs.select_replica_path(
-                    black_box(HostId(0)),
-                    black_box(&replicas),
-                    MB256,
+                let sel = fs.select(
+                    &FlowRequest::new(
+                        black_box(HostId(0)),
+                        black_box(&replicas),
+                        MB256,
+                        FlowPurpose::Read,
+                    ),
                     SimTime::ZERO,
                 );
                 for a in sel.assignments() {
@@ -147,10 +156,13 @@ fn bench_multipath_selection(c: &mut Criterion) {
             let mut fs = loaded_flowserver(&topo, load, true);
             let replicas = [HostId(20), HostId(36), HostId(52)];
             b.iter(|| {
-                let sel = fs.select_replica_path(
-                    black_box(HostId(0)),
-                    black_box(&replicas),
-                    MB256,
+                let sel = fs.select(
+                    &FlowRequest::new(
+                        black_box(HostId(0)),
+                        black_box(&replicas),
+                        MB256,
+                        FlowPurpose::Read,
+                    ),
                     SimTime::ZERO,
                 );
                 for a in sel.assignments() {

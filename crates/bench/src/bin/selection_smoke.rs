@@ -1,5 +1,5 @@
-//! Release-mode selection-latency smoke: measures
-//! `select_replica_path` on the 64-host paper testbed at 10/100/1000
+//! Release-mode selection-latency smoke: measures a read through
+//! `Flowserver::select` on the 64-host paper testbed at 10/100/1000
 //! tracked flows, alongside the reconstructed naive evaluation loop,
 //! and writes `BENCH_selection.json` to the repo root.
 //!
@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mayflower_flowserver::cost::flow_cost_opts;
-use mayflower_flowserver::{Flowserver, FlowserverConfig};
+use mayflower_flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig};
 use mayflower_net::{HostId, Topology, TreeParams};
 use mayflower_simcore::{SimRng, SimTime};
 
@@ -31,7 +31,10 @@ fn loaded_flowserver(topo: &Arc<Topology>, n: usize) -> Flowserver {
         if a == b {
             continue;
         }
-        fs.select_path_for_replica(b, a, MB256, SimTime::ZERO);
+        fs.select(
+            &FlowRequest::new(b, &[a], MB256, FlowPurpose::Path),
+            SimTime::ZERO,
+        );
         added += 1;
     }
     fs
@@ -93,13 +96,19 @@ fn main() {
         let mut fs = loaded_flowserver(&topo, load);
         // Warm the path cache and share memo before timing.
         for _ in 0..8 {
-            let sel = fs.select_replica_path(HostId(0), &replicas, MB256, SimTime::ZERO);
+            let sel = fs.select(
+                &FlowRequest::new(HostId(0), &replicas, MB256, FlowPurpose::Read),
+                SimTime::ZERO,
+            );
             for a in sel.assignments() {
                 fs.flow_completed(a.cookie);
             }
         }
         let fast_ns = median_ns(iters, || {
-            let sel = fs.select_replica_path(HostId(0), &replicas, MB256, SimTime::ZERO);
+            let sel = fs.select(
+                &FlowRequest::new(HostId(0), &replicas, MB256, FlowPurpose::Read),
+                SimTime::ZERO,
+            );
             let n = sel.assignments().len() as u64;
             for a in sel.assignments() {
                 fs.flow_completed(a.cookie);

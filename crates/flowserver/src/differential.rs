@@ -22,7 +22,9 @@ use crate::bandwidth::{
 };
 use crate::cost::{flow_cost_into, PathCost};
 use crate::scratch::SelectionScratch;
-use crate::server::{FlowPriority, Flowserver, FlowserverConfig, Selection};
+use crate::server::{
+    FlowPriority, FlowPurpose, FlowRequest, Flowserver, FlowserverConfig, Selection,
+};
 use crate::tracker::{FlowTracker, TrackedFlow};
 
 /// The naive implementation, kept verbatim from before the fast path
@@ -353,9 +355,9 @@ proptest! {
                     if others.contains(&endpoint) {
                         // Local short-circuit on both sides; no state.
                         let sel = if background {
-                            fs.select_repair_flow(endpoint, &others, *size, now)
+                            fs.select(&FlowRequest::new(endpoint, &others, *size, FlowPurpose::Repair), now)
                         } else {
-                            fs.select_replica_path(endpoint, &others, *size, now)
+                            fs.select(&FlowRequest::new(endpoint, &others, *size, FlowPurpose::Read), now)
                         };
                         prop_assert!(matches!(sel, Selection::Local));
                         continue;
@@ -367,9 +369,9 @@ proptest! {
                     };
                     let want = oracle::best_path(&fs, endpoint, &others, *size, now, priority);
                     let sel = if background {
-                        fs.select_repair_flow(endpoint, &others, *size, now)
+                        fs.select(&FlowRequest::new(endpoint, &others, *size, FlowPurpose::Repair), now)
                     } else {
-                        fs.select_replica_path(endpoint, &others, *size, now)
+                        fs.select(&FlowRequest::new(endpoint, &others, *size, FlowPurpose::Read), now)
                     };
                     match (want, sel) {
                         (None, Selection::Unavailable) => {}

@@ -25,8 +25,11 @@
 //!   Figure 2 worked example exactly (see its tests).
 //! * [`tracker`] — the Flowserver's model of in-flight flows,
 //!   including the *update-freeze* state of Pseudocode 2.
-//! * [`server`] — [`Flowserver`] itself: selection, stats ingestion,
-//!   flow lifecycle, and the multi-replica split reads of §4.3.
+//! * [`server`] — [`Flowserver`] itself: selection through one entry
+//!   point, [`Flowserver::select`], for every [`FlowPurpose`] (reads,
+//!   path-only scheduling, repair, migration, coded reads), stats
+//!   ingestion, flow lifecycle, and the multi-replica split reads of
+//!   §4.3.
 //!
 //! # Example
 //!
@@ -34,12 +37,18 @@
 //! use std::sync::Arc;
 //! use mayflower_net::{HostId, Topology, TreeParams};
 //! use mayflower_simcore::SimTime;
-//! use mayflower_flowserver::{Flowserver, FlowserverConfig, Selection};
+//! use mayflower_flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig, Selection};
 //!
 //! let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
 //! let mut fs = Flowserver::new(topo, FlowserverConfig::default());
 //! let replicas = [HostId(1), HostId(5), HostId(20)];
-//! let sel = fs.select_replica_path(HostId(0), &replicas, 256.0 * 8e6, SimTime::ZERO);
+//! let read = FlowRequest {
+//!     dest: HostId(0),
+//!     sources: &replicas,
+//!     size_bits: 256.0 * 8e6,
+//!     purpose: FlowPurpose::Read,
+//! };
+//! let sel = fs.select(&read, SimTime::ZERO);
 //! match sel {
 //!     Selection::Single(a) => {
 //!         // An idle network: the same-rack replica wins.
@@ -62,5 +71,7 @@ mod differential;
 
 pub use placement::WritePlacement;
 pub use scratch::SelectionScratch;
-pub use server::{Assignment, FlowPriority, Flowserver, FlowserverConfig, Selection};
+pub use server::{
+    Assignment, FlowPriority, FlowPurpose, FlowRequest, Flowserver, FlowserverConfig, Selection,
+};
 pub use tracker::{FlowTracker, TrackedFlow};

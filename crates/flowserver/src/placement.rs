@@ -23,7 +23,9 @@
 use mayflower_net::{HostId, Topology};
 use mayflower_simcore::SimTime;
 
-use crate::server::{prune_candidate, Assignment, FlowPriority, Flowserver};
+use crate::server::{
+    prune_candidate, Assignment, FlowPriority, FlowPurpose, FlowRequest, Flowserver,
+};
 
 /// The outcome of a co-designed write placement.
 #[derive(Debug, Clone)]
@@ -147,7 +149,10 @@ impl Flowserver {
         // Commit through the normal selection path so impacted flows
         // get re-frozen and the pipeline flow is tracked. Write data
         // flows src → host.
-        let selection = self.select_path_for_replica(host, src, size_bits, now);
+        let selection = self.select(
+            &FlowRequest::new(host, &[src], size_bits, FlowPurpose::Path),
+            now,
+        );
         let assignment = selection.assignments().first().cloned();
         (host, cost, assignment)
     }
@@ -234,7 +239,15 @@ mod tests {
         // couple of victims, then place from host 0: the primary should
         // land on a quiet host.
         for h in 1..28u32 {
-            fs.select_path_for_replica(HostId(h + 32), HostId(h), 50.0 * MB256, SimTime::ZERO);
+            fs.select(
+                &FlowRequest::new(
+                    HostId(h + 32),
+                    &[HostId(h)],
+                    50.0 * MB256,
+                    FlowPurpose::Path,
+                ),
+                SimTime::ZERO,
+            );
         }
         let wp = fs.select_write_placement(HostId(0), 3, MB256, SimTime::ZERO);
         // The chosen primary's uplink should carry no pre-existing
@@ -264,8 +277,14 @@ mod tests {
         let mut fs = server();
         for hot in [4u32, 5, 6, 7] {
             // Two inbound background flows per hot host.
-            fs.select_path_for_replica(HostId(hot), HostId(20), 10.0 * MB256, SimTime::ZERO);
-            fs.select_path_for_replica(HostId(hot), HostId(36), 10.0 * MB256, SimTime::ZERO);
+            fs.select(
+                &FlowRequest::new(HostId(hot), &[HostId(20)], 10.0 * MB256, FlowPurpose::Path),
+                SimTime::ZERO,
+            );
+            fs.select(
+                &FlowRequest::new(HostId(hot), &[HostId(36)], 10.0 * MB256, FlowPurpose::Path),
+                SimTime::ZERO,
+            );
         }
         let wp = fs.select_write_placement(HostId(0), 3, MB256, SimTime::ZERO);
         let second = wp.replicas[1];

@@ -12,9 +12,12 @@
 //! | method | argument | result |
 //! |---|---|---|
 //! | `flowserver.select` | `(client, replicas, size_bits, now_secs)` | [`Selection`] |
-//! | `flowserver.select_path` | `(client, replica, size_bits, now_secs)` | [`Selection`] |
 //! | `flowserver.completed` | `cookie` | `()` |
 //! | `flowserver.tracked` | `()` | `usize` |
+//!
+//! `flowserver.select` is a [`FlowPurpose::Read`] request; with one
+//! replica it is path-only scheduling for that replica. Host ids
+//! outside the topology are rejected with [`RpcError::Remote`].
 
 use std::sync::Arc;
 
@@ -24,7 +27,7 @@ use mayflower_sdn::FlowCookie;
 use mayflower_simcore::SimTime;
 use parking_lot::Mutex;
 
-use crate::server::{Flowserver, Selection};
+use crate::server::{FlowPurpose, FlowRequest, Flowserver, Selection};
 
 /// Server-side adapter: dispatches RPC methods onto a shared
 /// [`Flowserver`].
@@ -52,26 +55,23 @@ impl Service for FlowserverService {
                         "need a non-empty replica list and a positive size".into(),
                     ));
                 }
-                let sel = self.inner.lock().select_replica_path(
-                    HostId(client),
-                    &replicas,
-                    size_bits,
-                    SimTime::from_secs(now_secs),
-                );
-                Ok(serde_json::to_vec(&sel)?)
-            }
-            "flowserver.select_path" => {
-                let (client, replica, size_bits, now_secs): (u32, u32, f64, f64) =
-                    serde_json::from_slice(body)?;
-                if size_bits <= 0.0 {
-                    return Err(RpcError::Remote("size must be positive".into()));
-                }
-                let sel = self.inner.lock().select_path_for_replica(
-                    HostId(client),
-                    HostId(replica),
-                    size_bits,
-                    SimTime::from_secs(now_secs),
-                );
+                let req = FlowRequest::new(HostId(client), &replicas, size_bits, FlowPurpose::Read);
+                let sel = {
+                    let mut fs = self.inner.lock();
+                    // Ids come from the peer: an unknown one would index
+                    // past the topology's host table.
+                    let hosts = fs.topology().host_count();
+                    if let Some(bad) = std::iter::once(req.dest)
+                        .chain(replicas.iter().copied())
+                        .find(|h| h.index() >= hosts)
+                    {
+                        return Err(RpcError::Remote(format!(
+                            "unknown host {}: the topology has {hosts} hosts",
+                            bad.0
+                        )));
+                    }
+                    fs.select(&req, SimTime::from_secs(now_secs))
+                };
                 Ok(serde_json::to_vec(&sel)?)
             }
             "flowserver.completed" => {
@@ -100,7 +100,8 @@ impl<T: Transport> RemoteFlowserver<T> {
         }
     }
 
-    /// Joint replica + path selection for a read.
+    /// Joint replica + path selection for a read; with one replica,
+    /// path-only scheduling for it.
     ///
     /// # Errors
     ///
@@ -116,24 +117,6 @@ impl<T: Transport> RemoteFlowserver<T> {
         self.rpc.call(
             "flowserver.select",
             &(client.0, replicas, size_bits, now.as_secs()),
-        )
-    }
-
-    /// Path-only scheduling for a pre-selected replica.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport failures or remote validation errors.
-    pub fn select_path(
-        &self,
-        client: HostId,
-        replica: HostId,
-        size_bits: f64,
-        now: SimTime,
-    ) -> Result<Selection, RpcError> {
-        self.rpc.call(
-            "flowserver.select_path",
-            &(client.0, replica.0, size_bits, now.as_secs()),
         )
     }
 
@@ -209,6 +192,31 @@ mod tests {
             .select(HostId(0), &[], MB256, SimTime::ZERO)
             .unwrap_err();
         assert!(matches!(err, RpcError::Remote(_)));
+    }
+
+    #[test]
+    fn unknown_host_ids_are_rejected_and_the_connection_survives() {
+        fn check<T: Transport>(remote: &RemoteFlowserver<T>) {
+            // An unknown client, then an unknown replica.
+            for (client, replica) in [(HostId(9999), HostId(1)), (HostId(0), HostId(9999))] {
+                let err = remote
+                    .select(client, &[replica], MB256, SimTime::ZERO)
+                    .unwrap_err();
+                assert!(matches!(err, RpcError::Remote(_)), "{err:?}");
+            }
+            let sel = remote
+                .select(HostId(0), &[HostId(20)], MB256, SimTime::ZERO)
+                .unwrap();
+            assert_eq!(sel.assignments().len(), 1);
+        }
+        let svc = service();
+        check(&RemoteFlowserver::new(InProcTransport::new(svc.clone())));
+        let server = TcpServer::bind("127.0.0.1:0", svc).unwrap();
+        // One connection for all three calls: a valid call must still
+        // be served after the rejected ones.
+        check(&RemoteFlowserver::new(
+            TcpTransport::connect(server.local_addr()).unwrap(),
+        ));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use mayflower_flowserver::{Flowserver, FlowserverConfig, Selection};
+use mayflower_flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig, Selection};
 use mayflower_net::{HostId, Topology, TreeParams};
 use mayflower_simcore::SimTime;
 use proptest::prelude::*;
@@ -41,12 +41,12 @@ proptest! {
         // Background load from prior selections.
         for (a, b) in preload {
             if a != b {
-                fs.select_path_for_replica(HostId(a), HostId(b), MB256, SimTime::ZERO);
+                fs.select(&FlowRequest::new(HostId(a), &[HostId(b)], MB256, FlowPurpose::Path), SimTime::ZERO);
             }
         }
         let replica_ids: Vec<HostId> = replicas.iter().map(|r| HostId(*r)).collect();
         let before = fs.tracked_flows();
-        let sel = fs.select_replica_path(HostId(client), &replica_ids, MB256, SimTime::ZERO);
+        let sel = fs.select(&FlowRequest::new(HostId(client), &replica_ids, MB256, FlowPurpose::Read), SimTime::ZERO);
         match &sel {
             Selection::Local => {
                 prop_assert!(replica_ids.contains(&HostId(client)));
@@ -98,7 +98,7 @@ proptest! {
         let topo = topo();
         let mut fs = Flowserver::new(topo.clone(), FlowserverConfig::default());
         let replica_ids: Vec<HostId> = replicas.iter().map(|r| HostId(*r)).collect();
-        let sel = fs.select_replica_path(HostId(client), &replica_ids, MB256, SimTime::ZERO);
+        let sel = fs.select(&FlowRequest::new(HostId(client), &replica_ids, MB256, FlowPurpose::Read), SimTime::ZERO);
         if let Selection::Single(a) = sel {
             let cap = a.path.min_capacity(&topo);
             prop_assert!(a.est_bw <= cap * (1.0 + 1e-9), "{} > {}", a.est_bw, cap);
@@ -118,14 +118,14 @@ proptest! {
         let replica_ids: Vec<HostId> = replicas.iter().map(|r| HostId(*r)).collect();
 
         let mut single = Flowserver::new(topo.clone(), FlowserverConfig::default());
-        let s = single.select_replica_path(HostId(client), &replica_ids, MB256, SimTime::ZERO);
+        let s = single.select(&FlowRequest::new(HostId(client), &replica_ids, MB256, FlowPurpose::Read), SimTime::ZERO);
         let single_bw = s.assignments()[0].est_bw;
 
         let mut multi = Flowserver::new(
             topo,
             FlowserverConfig { multipath: true, ..FlowserverConfig::default() },
         );
-        let m = multi.select_replica_path(HostId(client), &replica_ids, MB256, SimTime::ZERO);
+        let m = multi.select(&FlowRequest::new(HostId(client), &replica_ids, MB256, FlowPurpose::Read), SimTime::ZERO);
         if let Selection::Split(parts) = &m {
             let agg: f64 = parts.iter().map(|p| p.est_bw).sum();
             prop_assert!(

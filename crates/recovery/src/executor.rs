@@ -265,7 +265,7 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::Arc;
 
-    use mayflower_flowserver::{FlowserverConfig, Selection};
+    use mayflower_flowserver::{FlowPurpose, FlowRequest, FlowserverConfig, Selection};
     use mayflower_fs::ClusterConfig;
     use mayflower_net::{Topology, TreeParams};
 
@@ -313,10 +313,13 @@ mod tests {
         dest: HostId,
     ) -> RepairTask {
         let meta = c.nameserver().lookup(name).unwrap();
-        let sel = fsrv.select_repair_flow(
-            dest,
-            &[source],
-            (meta.size as f64 * 8.0).max(1.0),
+        let sel = fsrv.select(
+            &FlowRequest::new(
+                dest,
+                &[source],
+                (meta.size as f64 * 8.0).max(1.0),
+                FlowPurpose::Repair,
+            ),
             SimTime::ZERO,
         );
         let (cookie, est_bw) = match sel {

@@ -11,7 +11,7 @@
 //!   would (HDFS-style, paper §3.1), degrading gracefully when few
 //!   racks survive.
 //! * **From where, over which path**: the Flowserver is consulted
-//!   with [`Flowserver::select_repair_flow`] at
+//!   with a [`FlowPurpose::Repair`] request, ranked at
 //!   [`FlowPriority::Background`](mayflower_flowserver::FlowPriority),
 //!   so repair traffic jointly picks the source replica and network
 //!   path that least slows down foreground reads (the paper's Eq. 2
@@ -32,7 +32,7 @@
 
 use std::collections::BTreeMap;
 
-use mayflower_flowserver::{Flowserver, Selection};
+use mayflower_flowserver::{FlowPurpose, FlowRequest, Flowserver, Selection};
 use mayflower_fs::FileId;
 use mayflower_net::{HostId, Topology};
 use mayflower_sdn::FlowCookie;
@@ -130,7 +130,7 @@ impl RepairPlanner {
     /// `usable` is the detector's not-confirmed-dead host set; hosts
     /// already in a file's replica list are never chosen as its
     /// destination. Each destination gets its own
-    /// [`select_repair_flow`](Flowserver::select_repair_flow) call so
+    /// [`FlowPurpose::Repair`] selection so
     /// concurrent repairs see each other's background flows. Files
     /// with no live replica at all are skipped — nothing can restore
     /// the tail (the caller counts them as lost) — though their
@@ -169,14 +169,16 @@ impl RepairPlanner {
                 let size_bits = (bytes as f64 * 8.0).max(1.0);
                 for dest in dests {
                     taken.push(dest);
-                    let (source, cookie, est_bw) =
-                        match flowserver.select_repair_flow(dest, &file.live, size_bits, now) {
-                            Selection::Single(a) => (a.replica, Some(a.cookie), a.est_bw),
-                            // Local is impossible (dest is never a current
-                            // replica) and Split is never produced for
-                            // repairs; both fall back like Unavailable.
-                            _ => (file.live[0], None, 0.0),
-                        };
+                    let (source, cookie, est_bw) = match flowserver.select(
+                        &FlowRequest::new(dest, &file.live, size_bits, FlowPurpose::Repair),
+                        now,
+                    ) {
+                        Selection::Single(a) => (a.replica, Some(a.cookie), a.est_bw),
+                        // Local is impossible (dest is never a current
+                        // replica) and Split is never produced for
+                        // repairs; both fall back like Unavailable.
+                        _ => (file.live[0], None, 0.0),
+                    };
                     tasks.push(RepairTask {
                         name: file.name.clone(),
                         id: file.id,
@@ -226,11 +228,13 @@ impl RepairPlanner {
                 *rack_load.entry(topo.rack_of(dest)).or_insert(0) += 1;
                 // One background flow models the rebuild ingest: `k`
                 // shards of `sealed_bytes / k` each converge on `dest`.
-                let (source, cookie, est_bw) =
-                    match flowserver.select_repair_flow(dest, &sources, size_bits, now) {
-                        Selection::Single(a) => (a.replica, Some(a.cookie), a.est_bw),
-                        _ => (sources[0], None, 0.0),
-                    };
+                let (source, cookie, est_bw) = match flowserver.select(
+                    &FlowRequest::new(dest, &sources, size_bits, FlowPurpose::Repair),
+                    now,
+                ) {
+                    Selection::Single(a) => (a.replica, Some(a.cookie), a.est_bw),
+                    _ => (sources[0], None, 0.0),
+                };
                 tasks.push(RepairTask {
                     name: file.name.clone(),
                     id: file.id,

@@ -23,7 +23,7 @@
 //!    space reclamation — and the window the model checker's
 //!    serve-from-old-owner mutant exploits.
 
-use mayflower_flowserver::{Flowserver, Selection};
+use mayflower_flowserver::{FlowPurpose, FlowRequest, Flowserver, Selection};
 use mayflower_fs::{FileMeta, FsError};
 use mayflower_net::HostId;
 use mayflower_simcore::SimTime;
@@ -74,9 +74,10 @@ impl MigrationScheduler for FlowserverScheduler<'_> {
             return;
         }
         let bits = bytes as f64 * 8.0;
-        let sel = self
-            .flowserver
-            .select_migration_flow(dst, &[src], bits, self.now);
+        let sel = self.flowserver.select(
+            &FlowRequest::new(dst, &[src], bits, FlowPurpose::Migration),
+            self.now,
+        );
         self.selections.push((src, dst, bits, sel));
     }
 }

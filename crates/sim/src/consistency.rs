@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mayflower_flowserver::{Flowserver, FlowserverConfig};
+use mayflower_flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig};
 use mayflower_net::{Topology, TreeParams};
 use mayflower_sdn::FlowCookie;
 use mayflower_simcore::{EventQueue, SimRng, SimTime};
@@ -174,12 +174,23 @@ fn run_mode(topo: &Arc<Topology>, matrix: &TrafficMatrix, chunks: u64, mode: Mod
                     };
                 let mut assignments = Vec::new();
                 if free_bits > 0.0 {
-                    let sel = fs.select_replica_path(job.client, replicas, free_bits, t);
+                    let sel = fs.select(
+                        &FlowRequest::new(job.client, replicas, free_bits, FlowPurpose::Read),
+                        t,
+                    );
                     assignments.extend(sel.assignments().iter().cloned());
                 }
                 if mode == Mode::Strong {
                     let primary = replicas[0];
-                    let sel = fs.select_path_for_replica(job.client, primary, last_chunk_bits, t);
+                    let sel = fs.select(
+                        &FlowRequest::new(
+                            job.client,
+                            &[primary],
+                            last_chunk_bits,
+                            FlowPurpose::Path,
+                        ),
+                        t,
+                    );
                     assignments.extend(sel.assignments().iter().cloned());
                 }
                 debug_assert!(!assignments.is_empty());

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use mayflower_baselines::hedera::{estimate_demands, Hedera, HederaFlow};
 use mayflower_baselines::{nearest_replica, SinbadR};
-use mayflower_flowserver::{Flowserver, FlowserverConfig};
+use mayflower_flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig};
 use mayflower_net::{ecmp_path, FlowKey, HostId, LinkId, Path, Topology};
 use mayflower_sdn::{BlackoutCounters, CounterSource, FlowCookie};
 use mayflower_simcore::{EventQueue, FaultSchedule, SimRng, SimTime};
@@ -105,8 +105,7 @@ pub struct ReplayOptions {
     /// monitor, seconds.
     pub poll_interval_secs: f64,
     /// Flowserver configuration (multipath, ablation switches). The
-    /// `poll_interval_secs` and `multipath` fields are overridden from
-    /// this struct and the strategy respectively.
+    /// `multipath` field is overridden from the strategy.
     pub flowserver: FlowserverConfig,
     /// Fault schedule to inject (empty = fault-free run; the engine
     /// then behaves bit-for-bit like the pre-fault code path).
@@ -125,107 +124,6 @@ impl Default for ReplayOptions {
             retry_backoff_secs: 0.25,
         }
     }
-}
-
-/// Replays `matrix` on `topo` under `strategy` and returns the per-job
-/// records in job order.
-///
-/// All strategies see identical arrivals, file placements and client
-/// locations; stochastic tie-breaking draws from `rng`. The Flowserver
-/// (when used) and Sinbad's monitor observe the network only through
-/// counters polled every `poll_interval_secs`.
-pub fn replay(
-    topo: &Arc<Topology>,
-    matrix: &TrafficMatrix,
-    strategy: Strategy,
-    poll_interval_secs: f64,
-    rng: &mut SimRng,
-) -> Vec<JobRecord> {
-    let opts = ReplayOptions {
-        poll_interval_secs,
-        ..ReplayOptions::default()
-    };
-    replay_with_options(topo, matrix, strategy, &opts, rng, &mut NoHooks)
-}
-
-/// [`replay`] with [`JobHooks`] attached — see the trait docs.
-pub fn replay_with_hooks(
-    topo: &Arc<Topology>,
-    matrix: &TrafficMatrix,
-    strategy: Strategy,
-    poll_interval_secs: f64,
-    rng: &mut SimRng,
-    hooks: &mut dyn JobHooks,
-) -> Vec<JobRecord> {
-    let opts = ReplayOptions {
-        poll_interval_secs,
-        ..ReplayOptions::default()
-    };
-    replay_with_options(topo, matrix, strategy, &opts, rng, hooks)
-}
-
-/// [`replay`] that also returns the cumulative bits carried per
-/// directed link — the raw material for hotspot/utilization analysis.
-pub fn replay_with_usage(
-    topo: &Arc<Topology>,
-    matrix: &TrafficMatrix,
-    strategy: Strategy,
-    poll_interval_secs: f64,
-    rng: &mut SimRng,
-) -> (Vec<JobRecord>, HashMap<LinkId, f64>) {
-    let opts = ReplayOptions {
-        poll_interval_secs,
-        ..ReplayOptions::default()
-    };
-    let (jobs, usage, _, _) = replay_inner(topo, matrix, strategy, &opts, rng, &mut NoHooks);
-    (jobs, usage)
-}
-
-/// The fully-parameterized engine: [`replay`] plus hooks plus the
-/// Flowserver ablation/tuning options.
-pub fn replay_with_options(
-    topo: &Arc<Topology>,
-    matrix: &TrafficMatrix,
-    strategy: Strategy,
-    opts: &ReplayOptions,
-    rng: &mut SimRng,
-    hooks: &mut dyn JobHooks,
-) -> Vec<JobRecord> {
-    replay_inner(topo, matrix, strategy, opts, rng, hooks).0
-}
-
-/// [`replay_with_options`] that also returns the fault report and the
-/// run's telemetry registry. Every layer under the engine — the
-/// Flowserver, Sinbad's monitor, and the engine itself — homes its
-/// metrics there, and all recorded values are sim-time- or
-/// model-derived, so the registry's snapshot renders to identical
-/// bytes across runs with the same seed.
-pub fn replay_with_telemetry(
-    topo: &Arc<Topology>,
-    matrix: &TrafficMatrix,
-    strategy: Strategy,
-    opts: &ReplayOptions,
-    rng: &mut SimRng,
-    hooks: &mut dyn JobHooks,
-) -> (Vec<JobRecord>, FaultReport, mayflower_telemetry::Registry) {
-    let (jobs, _, report, registry) = replay_inner(topo, matrix, strategy, opts, rng, hooks);
-    (jobs, report, registry)
-}
-
-/// [`replay`] under a fault schedule (`opts.faults`): injects the
-/// compiled faults, drives the abort-and-retry recovery machinery, and
-/// returns the per-job records together with the [`FaultReport`] of
-/// every degraded-mode decision. Same seed + same schedule ⇒
-/// byte-identical records and report.
-pub fn replay_with_faults(
-    topo: &Arc<Topology>,
-    matrix: &TrafficMatrix,
-    strategy: Strategy,
-    opts: &ReplayOptions,
-    rng: &mut SimRng,
-) -> (Vec<JobRecord>, FaultReport) {
-    let (jobs, _, report, _) = replay_inner(topo, matrix, strategy, opts, rng, &mut NoHooks);
-    (jobs, report)
 }
 
 /// Marks a cause for `link` being down, severing it on the first
@@ -433,7 +331,10 @@ fn select_assignments(
     let assignments: Vec<(HostId, Path, f64, Option<FlowCookie>)> = match strategy {
         Strategy::Mayflower | Strategy::MayflowerMultipath => {
             let fs = flowserver.as_mut().expect("mayflower uses flowserver");
-            let sel = fs.select_replica_path(client, live_replicas, size, t);
+            let sel = fs.select(
+                &FlowRequest::new(client, live_replicas, size, FlowPurpose::Read),
+                t,
+            );
             sel.assignments()
                 .iter()
                 .map(|a| (a.replica, a.path.clone(), a.size_bits, Some(a.cookie)))
@@ -446,7 +347,10 @@ fn select_assignments(
                 sinbad.select(topo, client, live_replicas, monitor, rng)
             };
             let fs = flowserver.as_mut().expect("scheduler uses flowserver");
-            let sel = fs.select_path_for_replica(client, replica, size, t);
+            let sel = fs.select(
+                &FlowRequest::new(client, &[replica], size, FlowPurpose::Path),
+                t,
+            );
             sel.assignments()
                 .iter()
                 .map(|a| (a.replica, a.path.clone(), a.size_bits, Some(a.cookie)))
@@ -498,19 +402,42 @@ fn select_assignments(
     assignments
 }
 
-fn replay_inner(
+/// Everything one replay produced.
+#[derive(Debug)]
+pub struct ReplayRun {
+    /// The per-job records, in job order.
+    pub jobs: Vec<JobRecord>,
+    /// Cumulative bits carried per directed link — the raw material
+    /// for hotspot/utilization analysis.
+    pub usage: HashMap<LinkId, f64>,
+    /// Every degraded-mode decision taken under `opts.faults`.
+    pub faults: FaultReport,
+    /// The run's telemetry registry. Every layer under the engine —
+    /// the Flowserver, Sinbad's monitor, and the engine itself — homes
+    /// its metrics there, and all recorded values are sim-time- or
+    /// model-derived, so the registry's snapshot renders to identical
+    /// bytes across runs with the same seed.
+    pub registry: mayflower_telemetry::Registry,
+}
+
+/// Replays `matrix` on `topo` under `strategy`.
+///
+/// All strategies see identical arrivals, file placements and client
+/// locations; stochastic tie-breaking draws from `rng`. The Flowserver
+/// (when used) and Sinbad's monitor observe the network only through
+/// counters polled every `opts.poll_interval_secs`. A non-empty
+/// `opts.faults` injects the compiled faults and drives the
+/// abort-and-retry recovery machinery. [`JobHooks`] attach real work
+/// to the simulated jobs; pass [`NoHooks`] for a pure simulation. Same
+/// seed + same options ⇒ byte-identical records, report and snapshot.
+pub fn replay(
     topo: &Arc<Topology>,
     matrix: &TrafficMatrix,
     strategy: Strategy,
     opts: &ReplayOptions,
     rng: &mut SimRng,
     hooks: &mut dyn JobHooks,
-) -> (
-    Vec<JobRecord>,
-    HashMap<LinkId, f64>,
-    FaultReport,
-    mayflower_telemetry::Registry,
-) {
+) -> ReplayRun {
     let poll_interval_secs = opts.poll_interval_secs;
     assert!(poll_interval_secs > 0.0, "poll interval must be positive");
     let registry = mayflower_telemetry::Registry::new();
@@ -519,7 +446,6 @@ fn replay_inner(
         let mut fs = Flowserver::new(
             topo.clone(),
             FlowserverConfig {
-                poll_interval_secs,
                 multipath: strategy == Strategy::MayflowerMultipath,
                 ..opts.flowserver.clone()
             },
@@ -943,7 +869,25 @@ fn replay_inner(
     sim.counter("degraded_selections_total")
         .add(report.degraded.len() as u64);
 
-    (records, usage, report, registry)
+    ReplayRun {
+        jobs: records,
+        usage,
+        faults: report,
+        registry,
+    }
+}
+
+/// [`replay`]'s records, fault report and registry, as a tuple.
+pub fn replay_with_telemetry(
+    topo: &Arc<Topology>,
+    matrix: &TrafficMatrix,
+    strategy: Strategy,
+    opts: &ReplayOptions,
+    rng: &mut SimRng,
+    hooks: &mut dyn JobHooks,
+) -> (Vec<JobRecord>, FaultReport, mayflower_telemetry::Registry) {
+    let run = replay(topo, matrix, strategy, opts, rng, hooks);
+    (run.jobs, run.faults, run.registry)
 }
 
 #[cfg(test)]
@@ -961,7 +905,8 @@ mod tests {
             ..WorkloadParams::default()
         };
         let matrix = TrafficMatrix::generate(&topo, &params, &mut rng);
-        replay(&topo, &matrix, strategy, 1.0, &mut rng)
+        let opts = ReplayOptions::default();
+        replay(&topo, &matrix, strategy, &opts, &mut rng, &mut NoHooks).jobs
     }
 
     #[test]
@@ -1024,10 +969,27 @@ mod tests {
             ..WorkloadParams::default()
         };
         let matrix = TrafficMatrix::generate(&topo, &params, &mut rng);
+        let opts = ReplayOptions::default();
         let mut r1 = rng.clone();
-        let hedera = replay(&topo, &matrix, Strategy::NearestHedera, 1.0, &mut r1);
+        let hedera = replay(
+            &topo,
+            &matrix,
+            Strategy::NearestHedera,
+            &opts,
+            &mut r1,
+            &mut NoHooks,
+        )
+        .jobs;
         let mut r2 = rng.clone();
-        let ecmp = replay(&topo, &matrix, Strategy::NearestEcmp, 1.0, &mut r2);
+        let ecmp = replay(
+            &topo,
+            &matrix,
+            Strategy::NearestEcmp,
+            &opts,
+            &mut r2,
+            &mut NoHooks,
+        )
+        .jobs;
         assert_eq!(hedera.len(), ecmp.len());
         let mean = |rs: &[JobRecord]| {
             let remote: Vec<f64> = rs
@@ -1056,7 +1018,7 @@ mod tests {
         };
         let matrix = TrafficMatrix::generate(&topo, &params, &mut rng);
         let opts = ReplayOptions::default();
-        let (jobs, _, registry) = replay_with_telemetry(
+        let ReplayRun { jobs, registry, .. } = replay(
             &topo,
             &matrix,
             Strategy::Mayflower,

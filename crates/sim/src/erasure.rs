@@ -12,7 +12,7 @@
 //!   each probe reads one sealed chunk from `k` fragment sources
 //!   while seeded elephant flows load the fabric. The **Mayflower**
 //!   arm asks the Flowserver for a joint k-source + path selection
-//!   ([`select_coded_read`]); the **ECMP** arm takes the first `k`
+//!   ([`FlowPurpose::Coded`]); the **ECMP** arm takes the first `k`
 //!   live fragments in fragment order and hashes each shard onto a
 //!   path, blind to load. Both arms run the same shard sizes over the
 //!   same background traffic in the fluid network, so every gap is
@@ -32,17 +32,19 @@
 //! [`ErasureExperimentConfig`] always renders a byte-identical
 //! [`ErasureRunResult`] JSON.
 //!
-//! [`select_coded_read`]: mayflower_flowserver::Flowserver::select_coded_read
+//! [`FlowPurpose::Coded`]: mayflower_flowserver::FlowPurpose::Coded
 
 use std::path::Path as FsPath;
 use std::sync::Arc;
 
-use mayflower_flowserver::{Flowserver, FlowserverConfig, Selection};
+use mayflower_flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig, Selection};
 use mayflower_fs::{Cluster, ClusterConfig, FileMeta, FsError, NameserverConfig, Redundancy};
 use mayflower_net::{ecmp_path, FlowKey, HostId, Path, Topology, TreeParams};
 use mayflower_simcore::{SimRng, SimTime};
 use mayflower_simnet::FluidNet;
 use serde::{Deserialize, Serialize};
+
+use crate::stats::{drain_admitted, mean};
 
 /// Configuration of one replication-vs-EC run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -220,32 +222,6 @@ fn transfer_secs(net: &mut FluidNet, flows: &[(Path, f64)], t0: SimTime) -> f64 
     last.secs_since(t0)
 }
 
-/// Runs one probe arm to exhaustion: admits the shard `flows` at
-/// `t0`, then drains the fabric. Returns the read completion (last
-/// shard done) and the mean completion of the pre-admitted background
-/// flows — the interference the read inflicted on them.
-fn probe_secs(net: &mut FluidNet, flows: &[(Path, f64)], t0: SimTime) -> (f64, f64) {
-    let shard_ids: Vec<_> = flows
-        .iter()
-        .map(|(p, bits)| net.add_flow(p.clone(), *bits, t0))
-        .collect();
-    let mut read_done = t0;
-    let mut bg_done = Vec::new();
-    while net.flow_count() > 0 {
-        let t = net.next_completion_time();
-        for done in net.advance_to(t) {
-            if shard_ids.contains(&done.flow) {
-                if done.at > read_done {
-                    read_done = done.at;
-                }
-            } else {
-                bg_done.push(done.at.secs_since(t0));
-            }
-        }
-    }
-    (read_done.secs_since(t0), mean(&bg_done))
-}
-
 /// One degraded-read probe, drawn up front so both arms replay the
 /// identical scenario.
 struct Probe {
@@ -254,14 +230,6 @@ struct Probe {
     chunk: u64,
     /// (src, dst, bits) of each background elephant.
     background: Vec<(HostId, HostId, f64)>,
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
 }
 
 /// Runs the experiment in `dir` (the cluster's on-disk root).
@@ -391,20 +359,31 @@ pub fn run_erasure(
             // The elephants are other clients' foreground traffic: the
             // Flowserver schedules them (and therefore knows about
             // them); both fabrics carry the identical flows.
-            if let Selection::Single(a) = fsrv.select_path_for_replica(*dst, *src, *bits, t0) {
+            if let Selection::Single(a) = fsrv.select(
+                &FlowRequest::new(*dst, &[*src], *bits, FlowPurpose::Path),
+                t0,
+            ) {
                 net_mf.add_flow(a.path.clone(), *bits, t0);
                 net_ecmp.add_flow(a.path, *bits, t0);
             }
         }
 
         // Mayflower: joint k-source + path selection.
-        let selection = fsrv.select_coded_read(probe.client, &sources, cfg.k, chunk_bits, t0);
+        let selection = fsrv.select(
+            &FlowRequest::new(
+                probe.client,
+                &sources,
+                chunk_bits,
+                FlowPurpose::Coded { k: cfg.k },
+            ),
+            t0,
+        );
         let flows: Vec<(Path, f64)> = selection
             .assignments()
             .iter()
             .map(|a| (a.path.clone(), a.size_bits))
             .collect();
-        let (read, bg) = probe_secs(&mut net_mf, &flows, t0);
+        let (read, bg) = drain_admitted(&mut net_mf, &flows, t0);
         mayflower_read_secs.push(read);
         mayflower_bg_secs.push(bg);
 
@@ -420,7 +399,7 @@ pub fn run_erasure(
                 ecmp_path(&topo, key).map(|p| (p, shard_bits))
             })
             .collect();
-        let (read, bg) = probe_secs(&mut net_ecmp, &flows, t0);
+        let (read, bg) = drain_admitted(&mut net_ecmp, &flows, t0);
         ecmp_read_secs.push(read);
         ecmp_bg_secs.push(bg);
     }
@@ -438,7 +417,10 @@ pub fn run_erasure(
         .find(|h| !rep.replicas.contains(h))
         .expect("a spare host exists");
     let rep_bits = (rep.size as f64 * 8.0).max(1.0);
-    let flows = match fsrv.select_repair_flow(rep_dest, &[rep.primary()], rep_bits, t0) {
+    let flows = match fsrv.select(
+        &FlowRequest::new(rep_dest, &[rep.primary()], rep_bits, FlowPurpose::Repair),
+        t0,
+    ) {
         Selection::Single(a) => vec![(a.path, rep_bits)],
         _ => Vec::new(),
     };
@@ -466,12 +448,15 @@ pub fn run_erasure(
         .copied()
         .filter(|h| !crashed.contains(h))
         .take(cfg.k)
-        .filter_map(
-            |src| match fsrv.select_repair_flow(ec_dest, &[src], shard_bits, t0) {
+        .filter_map(|src| {
+            match fsrv.select(
+                &FlowRequest::new(ec_dest, &[src], shard_bits, FlowPurpose::Repair),
+                t0,
+            ) {
                 Selection::Single(a) => Some((a.path, shard_bits)),
                 _ => None,
-            },
-        )
+            }
+        })
         .collect();
     let coded_repair = RepairSample {
         bytes_restored: sealed / cfg.k as u64,

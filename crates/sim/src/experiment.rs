@@ -7,7 +7,7 @@ use mayflower_simcore::SimRng;
 use mayflower_workload::{TrafficMatrix, WorkloadParams};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{replay_with_telemetry, JobRecord, NoHooks, ReplayOptions};
+use crate::engine::{replay, JobRecord, NoHooks, ReplayOptions};
 use crate::faults::{FaultReport, FaultSchedule};
 use crate::stats::Summary;
 use crate::strategy::Strategy;
@@ -97,9 +97,9 @@ impl ExperimentConfig {
             faults: self.faults.clone().unwrap_or_default(),
             ..ReplayOptions::default()
         };
-        let (jobs, report, registry) =
-            replay_with_telemetry(&topo, &matrix, self.strategy, &opts, &mut rng, &mut NoHooks);
-        let fault_report = self.faults.is_some().then_some(report);
+        let run = replay(&topo, &matrix, self.strategy, &opts, &mut rng, &mut NoHooks);
+        let (jobs, registry) = (run.jobs, run.registry);
+        let fault_report = self.faults.is_some().then_some(run.faults);
         let durations: Vec<f64> = jobs
             .iter()
             .filter(|j| !j.local)

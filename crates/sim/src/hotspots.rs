@@ -17,7 +17,7 @@ use mayflower_simcore::SimRng;
 use mayflower_workload::{LocalityDist, TrafficMatrix, WorkloadParams};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::replay_with_usage;
+use crate::engine::{replay, NoHooks, ReplayOptions};
 use crate::figures::Effort;
 use crate::strategy::Strategy;
 
@@ -113,7 +113,9 @@ pub fn hotspot_report(effort: Effort, seed: u64) -> HotspotReport {
         let matrix = TrafficMatrix::generate(&topo, &params, &mut rng);
         for strategy in [Strategy::Mayflower, Strategy::NearestEcmp] {
             let mut run_rng = rng.clone();
-            let (records, usage) = replay_with_usage(&topo, &matrix, strategy, 1.0, &mut run_rng);
+            let opts = ReplayOptions::default();
+            let run = replay(&topo, &matrix, strategy, &opts, &mut run_rng, &mut NoHooks);
+            let (records, usage) = (run.jobs, run.usage);
             let makespan = records
                 .iter()
                 .map(|r| r.finish.as_secs())

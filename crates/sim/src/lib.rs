@@ -49,9 +49,7 @@ pub mod timeline;
 pub mod topologies;
 pub mod writes;
 
-pub use engine::{
-    replay, replay_with_faults, replay_with_telemetry, replay_with_usage, JobRecord, ReplayOptions,
-};
+pub use engine::{replay, replay_with_telemetry, JobRecord, ReplayOptions, ReplayRun};
 pub use erasure::{
     run_erasure, ErasureExperimentConfig, ErasureRunResult, RepairSample, StorageFootprint,
 };

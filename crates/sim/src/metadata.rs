@@ -19,7 +19,7 @@
 //!   shards on disk) grows by one shard via the real [`migrate`]
 //!   machinery. Every bulk-copy batch announces its `(source, dest,
 //!   bytes)` transfer; the **scheduled** arm places each with
-//!   [`select_migration_flow`] (Background priority, Eq. 2
+//!   [`FlowPurpose::Migration`] (Background priority, Eq. 2
 //!   impact-aware cost, fully aware of the already-admitted
 //!   foreground flows), the **unscheduled** arm hashes the identical
 //!   transfers onto ECMP paths, blind to load. Both fluid fabrics
@@ -30,12 +30,12 @@
 //! [`MetadataScalingConfig`] always renders a byte-identical
 //! [`MetadataScalingResult`] JSON.
 //!
-//! [`select_migration_flow`]: mayflower_flowserver::Flowserver::select_migration_flow
+//! [`FlowPurpose::Migration`]: mayflower_flowserver::FlowPurpose::Migration
 
 use std::path::Path as FsPath;
 use std::sync::Arc;
 
-use mayflower_flowserver::{Flowserver, FlowserverConfig, Selection};
+use mayflower_flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig, Selection};
 use mayflower_fs::{FsError, MetadataService, Redundancy};
 use mayflower_net::{ecmp_path, FlowKey, Path, Topology, TreeParams};
 use mayflower_shard::{
@@ -47,6 +47,8 @@ use mayflower_simnet::FluidNet;
 use mayflower_telemetry::Registry;
 use mayflower_workload::Zipf;
 use serde::{Deserialize, Serialize};
+
+use crate::stats::drain_admitted;
 
 /// Configuration of one metadata-scaling run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -158,9 +160,9 @@ pub struct MetadataScalingResult {
     pub files_before: usize,
     /// See `files_before`.
     pub files_after: usize,
-    /// Migration placed by the flowserver ([`select_migration_flow`]).
+    /// Migration placed by the flowserver ([`FlowPurpose::Migration`]).
     ///
-    /// [`select_migration_flow`]: mayflower_flowserver::Flowserver::select_migration_flow
+    /// [`FlowPurpose::Migration`]: mayflower_flowserver::FlowPurpose::Migration
     pub scheduled: MigrationArm,
     /// The identical transfers hashed onto ECMP paths.
     pub unscheduled: MigrationArm,
@@ -183,14 +185,6 @@ impl MetadataScalingResult {
 /// hashes the exact strings clients would use).
 fn meta_name(rank: usize) -> String {
     format!("meta/f{rank:04}")
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
 }
 
 /// A per-client LRU over popularity ranks — the model of the lease
@@ -277,31 +271,6 @@ fn sweep_point(
     }
 }
 
-/// Admits `flows` at `t0`, then drains the fabric; returns the mean
-/// completion of the flows already in `net` (the foreground) and the
-/// completion of the last admitted flow (the migration).
-fn drain_arm(net: &mut FluidNet, flows: &[(Path, f64)], t0: SimTime) -> (f64, f64) {
-    let migration_ids: Vec<_> = flows
-        .iter()
-        .map(|(p, bits)| net.add_flow(p.clone(), *bits, t0))
-        .collect();
-    let mut fg_done = Vec::new();
-    let mut migration_done = t0;
-    while net.flow_count() > 0 {
-        let t = net.next_completion_time();
-        for done in net.advance_to(t) {
-            if migration_ids.contains(&done.flow) {
-                if done.at > migration_done {
-                    migration_done = done.at;
-                }
-            } else {
-                fg_done.push(done.at.secs_since(t0));
-            }
-        }
-    }
-    (mean(&fg_done), migration_done.secs_since(t0))
-}
-
 /// Runs the experiment; `dir` hosts the live plane's on-disk shards.
 ///
 /// # Errors
@@ -382,9 +351,10 @@ pub fn run_metadata_scaling(
         if dst == src {
             dst = hosts[(hosts.iter().position(|h| *h == src).unwrap() + 1) % hosts.len()];
         }
-        if let Selection::Single(a) =
-            fsrv.select_path_for_replica(dst, src, cfg.foreground_bits, t0)
-        {
+        if let Selection::Single(a) = fsrv.select(
+            &FlowRequest::new(dst, &[src], cfg.foreground_bits, FlowPurpose::Path),
+            t0,
+        ) {
             net_sched.add_flow(a.path.clone(), cfg.foreground_bits, t0);
             net_ecmp.add_flow(a.path, cfg.foreground_bits, t0);
         }
@@ -422,13 +392,13 @@ pub fn run_metadata_scaling(
             ecmp_path(&topo, key).map(|p| (p, *bits))
         })
         .collect();
-    let (fg, mig) = drain_arm(&mut net_sched, &sched_flows, t0);
+    let (mig, fg) = drain_admitted(&mut net_sched, &sched_flows, t0);
     let scheduled = MigrationArm {
         migration_flows: sched_flows.len(),
         fg_mean_secs: fg,
         migration_secs: mig,
     };
-    let (fg, mig) = drain_arm(&mut net_ecmp, &ecmp_flows, t0);
+    let (mig, fg) = drain_admitted(&mut net_ecmp, &ecmp_flows, t0);
     let unscheduled = MigrationArm {
         migration_flows: ecmp_flows.len(),
         fg_mean_secs: fg,

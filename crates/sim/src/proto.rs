@@ -31,7 +31,7 @@ use mayflower_simcore::SimRng;
 use mayflower_workload::{ReadJob, TrafficMatrix, WorkloadParams};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{replay_with_hooks, JobHooks};
+use crate::engine::{replay, JobHooks, ReplayOptions};
 use crate::stats::Summary;
 use crate::strategy::Strategy;
 
@@ -187,8 +187,8 @@ pub fn figure8(
                 lookups: 0,
             };
             let mut run_rng = rng.clone();
-            let records =
-                replay_with_hooks(&topo, &matrix, strategy, 1.0, &mut run_rng, &mut hooks);
+            let opts = ReplayOptions::default();
+            let records = replay(&topo, &matrix, strategy, &opts, &mut run_rng, &mut hooks).jobs;
             let durations: Vec<f64> = records
                 .iter()
                 .filter(|j| !j.local)

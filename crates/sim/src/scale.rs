@@ -17,7 +17,7 @@ use mayflower_simcore::SimRng;
 use mayflower_workload::{TrafficMatrix, WorkloadParams};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{replay, JobRecord};
+use crate::engine::{replay, JobRecord, NoHooks, ReplayOptions};
 use crate::figures::Effort;
 use crate::stats::Summary;
 use crate::strategy::Strategy;
@@ -96,7 +96,8 @@ pub fn scale_experiment(effort: Effort, seed: u64) -> ScaleExperiment {
         for strategy in [Strategy::Mayflower, Strategy::NearestEcmp] {
             let mut run_rng = rng.clone();
             let started = Instant::now();
-            let records = replay(&topo, &matrix, strategy, 1.0, &mut run_rng);
+            let opts = ReplayOptions::default();
+            let records = replay(&topo, &matrix, strategy, &opts, &mut run_rng, &mut NoHooks).jobs;
             let elapsed = started.elapsed();
             let remote: Vec<f64> = records
                 .iter()

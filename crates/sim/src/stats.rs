@@ -3,7 +3,45 @@
 //! confidence intervals (the paper's normalized-bar error bars cite
 //! Fieller's method; the time-vs-λ plots use Student-t, §6.3/§6.5).
 
+use mayflower_net::Path;
+use mayflower_simcore::SimTime;
+use mayflower_simnet::FluidNet;
 use serde::{Deserialize, Serialize};
+
+/// The mean of `xs`, or `0.0` when it is empty.
+pub(crate) fn mean(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        0.0
+    } else {
+        xs.iter().sum::<f64>() / xs.len() as f64
+    }
+}
+
+/// Admits `flows` into `net` at `t0`, then drains the fabric. Returns,
+/// in seconds since `t0`, the completion of the last admitted flow and
+/// the mean completion of the flows already in `net` — the
+/// interference the admitted flows inflicted on them.
+pub(crate) fn drain_admitted(net: &mut FluidNet, flows: &[(Path, f64)], t0: SimTime) -> (f64, f64) {
+    let admitted: Vec<_> = flows
+        .iter()
+        .map(|(p, bits)| net.add_flow(p.clone(), *bits, t0))
+        .collect();
+    let mut last_done = t0;
+    let mut others_done = Vec::new();
+    while net.flow_count() > 0 {
+        let t = net.next_completion_time();
+        for done in net.advance_to(t) {
+            if admitted.contains(&done.flow) {
+                if done.at > last_done {
+                    last_done = done.at;
+                }
+            } else {
+                others_done.push(done.at.secs_since(t0));
+            }
+        }
+    }
+    (last_done.secs_since(t0), mean(&others_done))
+}
 
 /// Two-sided 95% critical value of Student's t distribution for the
 /// given degrees of freedom (exact table for small df, normal

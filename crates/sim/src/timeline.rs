@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mayflower_flowserver::{Flowserver, FlowserverConfig, Selection};
+use mayflower_flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig, Selection};
 use mayflower_net::{ecmp_path, FlowKey, HostId, Path, Topology, TreeParams};
 use mayflower_simcore::{SimRng, SimTime};
 use mayflower_telemetry::trace::{self, TraceHandle, TraceTree, Tracer};
@@ -179,7 +179,10 @@ fn scheduled_background(fs: &mut Flowserver, background: &[(HostId, HostId)]) ->
     background
         .iter()
         .filter_map(|&(src, dst)| {
-            match fs.select_path_for_replica(dst, src, BG_BITS, SimTime::ZERO) {
+            match fs.select(
+                &FlowRequest::new(dst, &[src], BG_BITS, FlowPurpose::Path),
+                SimTime::ZERO,
+            ) {
                 Selection::Single(a) => Some(a.path),
                 _ => None,
             }
@@ -263,7 +266,10 @@ fn scheduled_read(tracer: &Arc<Tracer>, sc: &Scenario) -> TimelineArm {
     trace::annotate(&mut root, "scheduler", "mayflower");
     let completion = {
         let _g = root.as_ref().map(trace::ActiveSpan::enter);
-        let sel = fs.select_replica_path(sc.client, &sc.replicas, OP_BITS, SimTime::ZERO);
+        let sel = fs.select(
+            &FlowRequest::new(sc.client, &sc.replicas, OP_BITS, FlowPurpose::Read),
+            SimTime::ZERO,
+        );
         let assignments = sel.assignments();
         assert!(
             !assignments.is_empty(),
@@ -413,8 +419,10 @@ pub fn timeline(seed: u64) -> TimelineReport {
     fs.attach_tracer(tracer.handle("flowserver"));
     let sched_bg = scheduled_background(&mut fs, &sc.background);
     let append_sched = append_arm(&tracer, &sc, "mayflower", &sched_bg, |_, src, dst| match fs
-        .select_path_for_replica(dst, src, OP_BITS, SimTime::ZERO)
-    {
+        .select(
+            &FlowRequest::new(dst, &[src], OP_BITS, FlowPurpose::Path),
+            SimTime::ZERO,
+        ) {
         Selection::Single(a) => a.path,
         other => panic!("hop selection on a healthy fabric returned {other:?}"),
     });

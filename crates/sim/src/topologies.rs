@@ -19,7 +19,7 @@ use mayflower_simcore::SimRng;
 use mayflower_workload::{LocalityDist, TrafficMatrix, WorkloadParams};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{replay, JobRecord};
+use crate::engine::{replay, JobRecord, NoHooks, ReplayOptions};
 use crate::figures::Effort;
 use crate::stats::Summary;
 use crate::strategy::Strategy;
@@ -91,7 +91,9 @@ pub fn topology_comparison(effort: Effort, seed: u64) -> TopologyComparison {
             let matrix = TrafficMatrix::generate(&topo, &params, &mut rng);
             for strategy in [Strategy::Mayflower, Strategy::NearestEcmp] {
                 let mut run_rng = rng.clone();
-                let records = replay(&topo, &matrix, strategy, 1.0, &mut run_rng);
+                let opts = ReplayOptions::default();
+                let records =
+                    replay(&topo, &matrix, strategy, &opts, &mut run_rng, &mut NoHooks).jobs;
                 let remote: Vec<f64> = records
                     .iter()
                     .filter(|r| !r.local)

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mayflower_flowserver::{Flowserver, FlowserverConfig};
+use mayflower_flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig};
 use mayflower_net::{HostId, Topology, TreeParams};
 use mayflower_sdn::FlowCookie;
 use mayflower_simcore::{EventQueue, SimRng, SimTime};
@@ -205,7 +205,10 @@ fn run_policy(
                     done += 1;
                     continue;
                 }
-                let sel = fs.select_replica_path(job.client, replicas, matrix.size_of(job), t);
+                let sel = fs.select(
+                    &FlowRequest::new(job.client, replicas, matrix.size_of(job), FlowPurpose::Read),
+                    t,
+                );
                 jobs[id].pending = sel.assignments().len();
                 for a in sel.assignments() {
                     let fid = net.add_flow(a.path.clone(), a.size_bits, t);
@@ -227,7 +230,15 @@ fn run_policy(
                         let mut src = writer;
                         for &replica in &replicas {
                             if replica != src {
-                                let sel = fs.select_path_for_replica(replica, src, write_bits, t);
+                                let sel = fs.select(
+                                    &FlowRequest::new(
+                                        replica,
+                                        &[src],
+                                        write_bits,
+                                        FlowPurpose::Path,
+                                    ),
+                                    t,
+                                );
                                 pipeline.extend(sel.assignments().iter().cloned());
                             }
                             src = replica;

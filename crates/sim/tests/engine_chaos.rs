@@ -4,8 +4,9 @@
 use std::sync::Arc;
 
 use mayflower_net::{Topology, TreeParams};
-use mayflower_sim::replay;
+use mayflower_sim::engine::NoHooks;
 use mayflower_sim::Strategy as Scheme;
+use mayflower_sim::{replay, ReplayOptions};
 use mayflower_simcore::testutil::SeedGuard;
 use mayflower_simcore::SimRng;
 use mayflower_workload::{FileSizeDist, LocalityDist, TrafficMatrix, WorkloadParams};
@@ -66,7 +67,8 @@ proptest! {
         let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
         let mut rng = SimRng::seed_from(seed);
         let matrix = TrafficMatrix::generate(&topo, &params, &mut rng);
-        let records = replay(&topo, &matrix, strategy, 1.0, &mut rng);
+        let opts = ReplayOptions::default();
+        let records = replay(&topo, &matrix, strategy, &opts, &mut rng, &mut NoHooks).jobs;
         prop_assert_eq!(records.len(), params.job_count);
         for (r, job) in records.iter().zip(&matrix.jobs) {
             prop_assert_eq!(r.arrival, job.arrival);

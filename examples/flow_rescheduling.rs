@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use mayflower::baselines::hedera::{estimate_demands, Hedera, HederaFlow};
-use mayflower::flowserver::{Flowserver, FlowserverConfig, Selection};
+use mayflower::flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig, Selection};
 use mayflower::net::{HostId, Topology, TreeParams};
 use mayflower::simcore::SimTime;
 use mayflower::simnet::FluidNet;
@@ -85,12 +85,18 @@ fn main() {
     let mut fs = Flowserver::new(topo, FlowserverConfig::default());
     // Tell the Flowserver about the existing load.
     for client in [9u32, 10, 12, 16, 40] {
-        fs.select_path_for_replica(HostId(client), HostId(8), 2e9, SimTime::ZERO);
+        fs.select(
+            &FlowRequest::new(HostId(client), &[HostId(8)], 2e9, FlowPurpose::Path),
+            SimTime::ZERO,
+        );
     }
-    let sel = fs.select_replica_path(
-        HostId(44),
-        &[HostId(8), HostId(26), HostId(57)], // three replicas
-        2e9,
+    let sel = fs.select(
+        &FlowRequest::new(
+            HostId(44),
+            &[HostId(8), HostId(26), HostId(57)], // three replicas
+            2e9,
+            FlowPurpose::Read,
+        ),
         SimTime::ZERO,
     );
     let Selection::Single(pick) = sel else {

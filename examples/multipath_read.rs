@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use mayflower::flowserver::{Flowserver, FlowserverConfig, Selection};
+use mayflower::flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig, Selection};
 use mayflower::net::{HostId, Topology, TreeParams};
 use mayflower::simcore::SimTime;
 use mayflower::simnet::FluidNet;
@@ -32,7 +32,10 @@ fn main() {
 
     // --- Single-flow Mayflower -------------------------------------
     let mut single = Flowserver::new(topo.clone(), FlowserverConfig::default());
-    let sel = single.select_replica_path(client, &replicas, MB256, SimTime::ZERO);
+    let sel = single.select(
+        &FlowRequest::new(client, &replicas, MB256, FlowPurpose::Read),
+        SimTime::ZERO,
+    );
     let Selection::Single(a) = &sel else {
         panic!("single-flow config must not split")
     };
@@ -55,7 +58,10 @@ fn main() {
             ..FlowserverConfig::default()
         },
     );
-    let sel = multi.select_replica_path(client, &replicas, MB256, SimTime::ZERO);
+    let sel = multi.select(
+        &FlowRequest::new(client, &replicas, MB256, FlowPurpose::Read),
+        SimTime::ZERO,
+    );
     let Selection::Split(parts) = &sel else {
         panic!("multipath config should split this read")
     };

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use mayflower::flowserver::cost::flow_cost;
 use mayflower::flowserver::tracker::{FlowTracker, TrackedFlow};
-use mayflower::flowserver::{Flowserver, FlowserverConfig, Selection};
+use mayflower::flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig, Selection};
 use mayflower::net::{HostId, LinkId, NodeKind, Path, PodId, RackId, Topology};
 use mayflower::sdn::FlowCookie;
 use mayflower::simcore::SimTime;
@@ -123,7 +123,10 @@ fn main() {
     let (topo, source, reader, _, _) = fig2_topology(false);
     let topo = Arc::new(topo);
     let mut fs = Flowserver::new(topo, FlowserverConfig::default());
-    let sel = fs.select_replica_path(reader, &[source], 9.0, SimTime::ZERO);
+    let sel = fs.select(
+        &FlowRequest::new(reader, &[source], 9.0, FlowPurpose::Read),
+        SimTime::ZERO,
+    );
     let Selection::Single(a) = sel else {
         panic!("expected a single assignment")
     };

@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use mayflower::flowserver::{Flowserver, FlowserverConfig, Selection};
+use mayflower::flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig, Selection};
 use mayflower::fs::nameserver::NameserverConfig;
 use mayflower::fs::remote::{NameserverService, RemoteNameserver};
 use mayflower::fs::{Cluster, ClusterConfig, ReadAssignment, ReplicaSelector};
@@ -46,9 +46,10 @@ impl ReplicaSelector for FlowserverSelector {
         replicas: &[HostId],
         size_bytes: u64,
     ) -> Vec<ReadAssignment> {
-        let sel =
-            self.fs
-                .select_replica_path(client, replicas, (size_bytes * 8) as f64, SimTime::ZERO);
+        let sel = self.fs.select(
+            &FlowRequest::new(client, replicas, (size_bytes * 8) as f64, FlowPurpose::Read),
+            SimTime::ZERO,
+        );
         let out = match &sel {
             // No reachable replica (only possible with down links);
             // answer empty so the client's own failover takes over.
@@ -152,7 +153,10 @@ fn flowserver_installs_and_removes_rules_per_read() {
         .map(HostId)
         .find(|h| !meta.replicas.contains(h))
         .expect("64 hosts, 3 replicas");
-    let sel = fs.select_replica_path(client, &meta.replicas, 7.0 * 8.0, SimTime::ZERO);
+    let sel = fs.select(
+        &FlowRequest::new(client, &meta.replicas, 7.0 * 8.0, FlowPurpose::Read),
+        SimTime::ZERO,
+    );
     assert!(fs.fabric().flow_count() >= 1);
     let a = &sel.assignments()[0];
     assert!(meta.replicas.contains(&a.replica));

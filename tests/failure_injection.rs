@@ -6,13 +6,14 @@ use std::sync::Arc;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use mayflower::flowserver::{Flowserver, FlowserverConfig, Selection};
+use mayflower::flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig, Selection};
 use mayflower::fs::nameserver::NameserverConfig;
 use mayflower::fs::{
     Cluster, ClusterConfig, FallbackSelector, NearestSelector, ReadAssignment, ReplicaSelector,
 };
 use mayflower::net::{HostId, NodeKind, Topology, TreeParams};
-use mayflower::sim::{replay_with_faults, FaultEvent, FaultSchedule, ReplayOptions, Strategy};
+use mayflower::sim::engine::NoHooks;
+use mayflower::sim::{replay, FaultEvent, FaultSchedule, ReplayOptions, Strategy};
 use mayflower::simcore::testutil::SeedGuard;
 use mayflower::simcore::{SimRng, SimTime};
 use mayflower::workload::{TrafficMatrix, WorkloadParams};
@@ -100,9 +101,10 @@ impl ReplicaSelector for Steered {
         replicas: &[HostId],
         size_bytes: u64,
     ) -> Vec<ReadAssignment> {
-        let sel =
-            self.fs
-                .select_replica_path(client, replicas, (size_bytes * 8) as f64, SimTime::ZERO);
+        let sel = self.fs.select(
+            &FlowRequest::new(client, replicas, (size_bytes * 8) as f64, FlowPurpose::Read),
+            SimTime::ZERO,
+        );
         let out = match &sel {
             // No reachable replica: answer empty so a wrapping
             // `FallbackSelector` (or the client's own retry) takes over.
@@ -253,7 +255,15 @@ fn agg_switch_failure_mid_read_reroutes_and_every_job_completes() {
         faults,
         ..ReplayOptions::default()
     };
-    let (jobs, report) = replay_with_faults(&topo, &matrix, Strategy::Mayflower, &opts, &mut rng);
+    let run = replay(
+        &topo,
+        &matrix,
+        Strategy::Mayflower,
+        &opts,
+        &mut rng,
+        &mut NoHooks,
+    );
+    let (jobs, report) = (run.jobs, run.faults);
     assert_eq!(jobs.len(), 60, "no job is lost to the dead switch");
     for j in &jobs {
         assert!(j.finish >= j.arrival, "job {} finished", j.id);
@@ -306,7 +316,7 @@ fn stale_stats_after_missed_polls_still_selects_and_reads_correctly() {
     // (e.g. the stats path through the fabric is lossy). The model is
     // stale and says so; selection must keep answering regardless.
     let mut fs = Flowserver::new(topo, FlowserverConfig::default());
-    let poll = fs.config().poll_interval_secs;
+    let poll = ReplayOptions::default().poll_interval_secs;
     for k in 1..=3u32 {
         let now = SimTime::from_secs(poll * f64::from(k));
         fs.note_poll_missed(now);
