@@ -11,10 +11,12 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> committed results reproduce byte for byte (figures 4-8 and multipath)"
+echo "==> committed results reproduce byte for byte (every deterministic figure)"
+# `scale` stays out: its mean_decision_us column is wall-clock time.
+cargo build --release -p mayflower-sim --bin figures
 rm -rf target/results-check
 mkdir -p target/results-check
-for fig in 4 5 6a 6b 7 8 multipath; do
+for fig in 4 5 6a 6b 7 8 multipath ablation consistency hedera hotspots topology writes timeline; do
   ./target/release/figures --fig "$fig" --json target/results-check
 done > target/results-check/full_run.txt
 for f in results/*; do
