@@ -195,33 +195,6 @@ fn footprint(cluster: &Cluster, metas: &[FileMeta]) -> Result<StorageFootprint, 
     })
 }
 
-/// Times `flows` (path, bits) admitted together at `t0` on `net`,
-/// returning the completion time of the last one. Background flows
-/// already in `net` keep competing for bandwidth throughout.
-fn transfer_secs(net: &mut FluidNet, flows: &[(Path, f64)], t0: SimTime) -> f64 {
-    if flows.is_empty() {
-        return 0.0;
-    }
-    let ids: Vec<_> = flows
-        .iter()
-        .map(|(p, bits)| net.add_flow(p.clone(), *bits, t0))
-        .collect();
-    let mut pending: Vec<_> = ids.clone();
-    let mut last = t0;
-    while !pending.is_empty() {
-        let t = net.next_completion_time();
-        for done in net.advance_to(t) {
-            if let Some(pos) = pending.iter().position(|id| *id == done.flow) {
-                pending.swap_remove(pos);
-                if done.at > last {
-                    last = done.at;
-                }
-            }
-        }
-    }
-    last.secs_since(t0)
-}
-
 /// One degraded-read probe, drawn up front so both arms replay the
 /// identical scenario.
 struct Probe {
@@ -427,7 +400,7 @@ pub fn run_erasure(
     let replica_repair = RepairSample {
         bytes_restored: rep.size,
         bytes_moved: rep.size,
-        secs: transfer_secs(&mut net, &flows, t0),
+        secs: drain_admitted(&mut net, &flows, t0).0,
     };
 
     let ec = &ec_metas[0];
@@ -461,7 +434,7 @@ pub fn run_erasure(
     let coded_repair = RepairSample {
         bytes_restored: sealed / cfg.k as u64,
         bytes_moved: sealed,
-        secs: transfer_secs(&mut net, &flows, t0),
+        secs: drain_admitted(&mut net, &flows, t0).0,
     };
 
     Ok(ErasureRunResult {

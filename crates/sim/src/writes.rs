@@ -17,17 +17,15 @@
 //! with cut-through relaying, the fluid model's concurrent pipeline
 //! flows, completed at the slowest hop.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mayflower_flowserver::{FlowPurpose, FlowRequest, Flowserver, FlowserverConfig};
 use mayflower_net::{HostId, Topology, TreeParams};
-use mayflower_sdn::FlowCookie;
-use mayflower_simcore::{EventQueue, SimRng, SimTime};
-use mayflower_simnet::{FlowId, FluidNet};
+use mayflower_simcore::{SimRng, SimTime};
 use mayflower_workload::{PlacementPolicy, PoissonArrivals, TrafficMatrix, WorkloadParams};
 use serde::{Deserialize, Serialize};
 
+use crate::engine::{Driver, JobRecord};
 use crate::figures::Effort;
 use crate::stats::Summary;
 
@@ -73,15 +71,8 @@ pub struct WriteExperiment {
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    ReadArrival(usize),
-    WriteArrival(usize),
-    Poll,
-}
-
-struct JobState {
-    pending: usize,
-    arrival: SimTime,
-    finish: SimTime,
+    Arrival(usize),
+    Tick,
 }
 
 /// Runs the experiment: same background matrix and write schedule for
@@ -130,7 +121,6 @@ pub fn write_placement_experiment(effort: Effort, seed: u64) -> WriteExperiment 
     WriteExperiment { runs }
 }
 
-#[allow(clippy::too_many_lines)]
 fn run_policy(
     topo: &Arc<Topology>,
     matrix: &TrafficMatrix,
@@ -139,137 +129,82 @@ fn run_policy(
     policy: WritePolicy,
     rng: &mut SimRng,
 ) -> (Vec<f64>, Vec<f64>) {
-    let mut net = FluidNet::new(topo.clone());
-    let mut fs = Flowserver::new(topo.clone(), FlowserverConfig::default());
-
+    let fs = Flowserver::new(topo.clone(), FlowserverConfig::default());
+    // Jobs 0..n_reads are the background reads, then one per write.
     let n_reads = matrix.jobs.len();
-    let n_writes = writes.len();
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    for job in &matrix.jobs {
-        queue.schedule(job.arrival, Event::ReadArrival(job.id));
-    }
-    for (i, (t, _)) in writes.iter().enumerate() {
-        queue.schedule(*t, Event::WriteArrival(i));
-    }
-    queue.schedule(SimTime::from_secs(1.0), Event::Poll);
-
-    // Job bookkeeping: reads are 0..n_reads, writes n_reads..+n_writes.
-    let mut jobs: Vec<JobState> = (0..n_reads + n_writes)
-        .map(|_| JobState {
-            pending: 0,
-            arrival: SimTime::ZERO,
-            finish: SimTime::ZERO,
-        })
+    let arrivals = matrix
+        .jobs
+        .iter()
+        .map(|j| j.arrival)
+        .chain(writes.iter().map(|(t, _)| *t))
         .collect();
-    let mut flow_to_job: HashMap<FlowId, usize> = HashMap::new();
-    let mut flow_to_cookie: HashMap<FlowId, FlowCookie> = HashMap::new();
-    let mut done = 0usize;
-    let total = n_reads + n_writes;
-    let mut local_reads = 0usize;
-
-    while done < total {
-        let next_event = queue.peek_time().unwrap_or(SimTime::MAX);
-        let next_completion = net.next_completion_time();
-        let t = next_event.min(next_completion);
-        let completions = net.advance_to(t);
-        for c in completions {
-            let job = flow_to_job.remove(&c.flow).expect("flow has a job");
-            if let Some(cookie) = flow_to_cookie.remove(&c.flow) {
-                fs.flow_completed(cookie);
-            }
-            jobs[job].pending -= 1;
-            if jobs[job].pending == 0 {
-                jobs[job].finish = c.at;
-                done += 1;
-            }
-        }
-        if next_completion <= next_event {
-            continue;
-        }
-        let Some((t, ev)) = queue.pop() else {
-            unreachable!("no events while {done}/{total} jobs outstanding");
+    let mut d = Driver::new(topo, Some(fs), arrivals, Event::Arrival);
+    d.schedule(SimTime::from_secs(1.0), Event::Tick);
+    d.run(|d, t, ev| {
+        let Event::Arrival(id) = ev else {
+            // The tick polls nothing; see `consistency::run_mode`.
+            d.schedule(t + SimTime::from_secs(1.0), Event::Tick);
+            return;
         };
-        match ev {
-            Event::Poll => {
-                if done < total {
-                    queue.schedule(t + SimTime::from_secs(1.0), Event::Poll);
-                }
+        let pipeline = if let Some(job) = matrix.jobs.get(id) {
+            let replicas = matrix.replicas_of(job);
+            if replicas.contains(&job.client) {
+                d.finish_now(id, t);
+                return;
             }
-            Event::ReadArrival(id) => {
-                let job = &matrix.jobs[id];
-                jobs[id].arrival = job.arrival;
-                let replicas = matrix.replicas_of(job);
-                if replicas.contains(&job.client) {
-                    jobs[id].finish = t;
-                    local_reads += 1;
-                    done += 1;
-                    continue;
-                }
-                let sel = fs.select(
+            d.flowserver()
+                .select(
                     &FlowRequest::new(job.client, replicas, matrix.size_of(job), FlowPurpose::Read),
                     t,
-                );
-                jobs[id].pending = sel.assignments().len();
-                for a in sel.assignments() {
-                    let fid = net.add_flow(a.path.clone(), a.size_bits, t);
-                    flow_to_job.insert(fid, id);
-                    flow_to_cookie.insert(fid, a.cookie);
+                )
+                .assignments()
+                .to_vec()
+        } else {
+            let (_, writer) = writes[id - n_reads];
+            match policy {
+                WritePolicy::CoDesigned => {
+                    d.flowserver()
+                        .select_write_placement(writer, 3, write_bits, t)
+                        .pipeline
                 }
-            }
-            Event::WriteArrival(i) => {
-                let job_idx = n_reads + i;
-                let (_, writer) = writes[i];
-                jobs[job_idx].arrival = t;
-                let pipeline = match policy {
-                    WritePolicy::CoDesigned => {
-                        fs.select_write_placement(writer, 3, write_bits, t).pipeline
-                    }
-                    WritePolicy::Static => {
-                        let replicas = PlacementPolicy::PaperEval.place(topo, 3, rng);
-                        let mut pipeline = Vec::new();
-                        let mut src = writer;
-                        for &replica in &replicas {
-                            if replica != src {
-                                let sel = fs.select(
-                                    &FlowRequest::new(
-                                        replica,
-                                        &[src],
-                                        write_bits,
-                                        FlowPurpose::Path,
-                                    ),
-                                    t,
-                                );
-                                pipeline.extend(sel.assignments().iter().cloned());
-                            }
-                            src = replica;
+                WritePolicy::Static => {
+                    let replicas = PlacementPolicy::PaperEval.place(topo, 3, rng);
+                    let mut pipeline = Vec::new();
+                    let mut src = writer;
+                    for &replica in &replicas {
+                        if replica != src {
+                            let sel = d.flowserver().select(
+                                &FlowRequest::new(replica, &[src], write_bits, FlowPurpose::Path),
+                                t,
+                            );
+                            pipeline.extend(sel.assignments().iter().cloned());
                         }
-                        pipeline
+                        src = replica;
                     }
-                };
-                if pipeline.is_empty() {
-                    // Fully machine-local pipeline (can't happen with 3
-                    // fault domains, but stay total).
-                    jobs[job_idx].finish = t;
-                    done += 1;
-                    continue;
-                }
-                jobs[job_idx].pending = pipeline.len();
-                for a in &pipeline {
-                    let fid = net.add_flow(a.path.clone(), a.size_bits, t);
-                    flow_to_job.insert(fid, job_idx);
-                    flow_to_cookie.insert(fid, a.cookie);
+                    pipeline
                 }
             }
+        };
+        if pipeline.is_empty() {
+            // Fully machine-local pipeline (can't happen with 3 fault
+            // domains, but stay total).
+            d.finish_now(id, t);
+            return;
         }
-    }
-    let _ = local_reads;
+        for a in pipeline {
+            d.admit(id, a.path, a.size_bits, Some(a.cookie), t);
+        }
+    });
 
-    let write_times: Vec<f64> = (n_reads..total)
-        .map(|j| jobs[j].finish.secs_since(jobs[j].arrival))
+    let records = d.records();
+    let write_times = records[n_reads..]
+        .iter()
+        .map(JobRecord::duration_secs)
         .collect();
-    let read_times: Vec<f64> = (0..n_reads)
-        .filter(|j| jobs[*j].finish > jobs[*j].arrival)
-        .map(|j| jobs[j].finish.secs_since(jobs[j].arrival))
+    let read_times = records[..n_reads]
+        .iter()
+        .filter(|r| r.finish > r.arrival)
+        .map(JobRecord::duration_secs)
         .collect();
     (write_times, read_times)
 }
