@@ -5,12 +5,15 @@
 //! ```
 //!
 //! Prints each figure's rows as a text table; with `--json DIR`, also
-//! writes the structured data as `figN.json` for plotting.
+//! writes the structured data as `figN.json` for plotting. A bad
+//! argument, including an unknown figure name, exits with status 2.
 
 use std::io::Write as _;
 
 use mayflower_sim::figures::{self, Effort};
 use mayflower_sim::report;
+
+const USAGE: &str = "usage: figures [--fig 4|5|6a|6b|7|8|multipath|ablation|writes|scale|consistency|hotspots|hedera|topology|timeline|all] [--quick] [--seed N] [--json DIR]";
 
 struct Args {
     fig: String,
@@ -28,30 +31,32 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        let mut value = || {
+            it.next()
+                .unwrap_or_else(|| usage_error(&format!("{a} needs a value")))
+        };
         match a.as_str() {
-            "--fig" => args.fig = it.next().expect("--fig needs a value"),
+            "--fig" => args.fig = value(),
             "--quick" => args.effort = Effort::Quick,
             "--seed" => {
-                args.seed = it
-                    .next()
-                    .expect("--seed needs a value")
+                args.seed = value()
                     .parse()
-                    .expect("seed must be an integer")
+                    .unwrap_or_else(|_| usage_error("seed must be an integer"))
             }
-            "--json" => args.json_dir = it.next(),
+            "--json" => args.json_dir = Some(value()),
             "--help" | "-h" => {
-                println!(
-                    "usage: figures [--fig 4|5|6a|6b|7|8|multipath|ablation|writes|scale|consistency|hotspots|hedera|topology|timeline|all] [--quick] [--seed N] [--json DIR]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
     args
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
 }
 
 fn maybe_write_json(dir: &Option<String>, name: &str, value: &impl serde::Serialize) {
@@ -67,7 +72,12 @@ fn maybe_write_json(dir: &Option<String>, name: &str, value: &impl serde::Serial
 
 fn main() {
     let args = parse_args();
-    let want = |k: &str| args.fig == "all" || args.fig == k;
+    let mut known = false;
+    let mut want = |k: &str| {
+        let hit = args.fig == "all" || args.fig == k;
+        known |= hit;
+        hit
+    };
 
     if want("4") {
         let fig = figures::figure4(args.effort, args.seed);
@@ -149,5 +159,8 @@ fn main() {
         let rep = mayflower_sim::timeline::timeline(args.seed);
         println!("{}", report::render_timeline(&rep));
         maybe_write_json(&args.json_dir, "timeline", &rep);
+    }
+    if !known {
+        usage_error(&format!("unknown figure: {}", args.fig));
     }
 }
