@@ -10,7 +10,9 @@
 //! paper's §6:
 //!
 //! * [`engine::replay`] — replays a traffic matrix under a
-//!   [`Strategy`], producing per-job completion records.
+//!   [`Strategy`], producing per-job completion records. It runs on
+//!   the engine's fluid-fabric driver, the crate's one job-driven event
+//!   loop, which the [`consistency`] and [`writes`] experiments share.
 //! * [`ExperimentConfig`] — one topology × workload × strategy × seed
 //!   run.
 //! * [`figures`] — one function per paper figure (4, 5, 6a, 6b, 7,
